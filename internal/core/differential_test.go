@@ -12,9 +12,9 @@ import (
 
 // refTool is an independent reference implementation of the classification
 // semantics: a plain map from address to shadow state, none of the chunked
-// table, eviction, caching or encoding machinery. Running it chained beside
-// the real Tool (observing the same substrate) and comparing aggregates is
-// a differential test of the entire classification engine.
+// table, eviction, caching or encoding machinery. Running it beside the
+// real Tool (observing the same substrate, through refPair) and comparing
+// aggregates is a differential test of the entire classification engine.
 type refTool struct {
 	vm.BaseObserver
 	sub *callgrind.Tool
@@ -42,6 +42,32 @@ func newRefTool(sub *callgrind.Tool) *refTool {
 		edges:  map[[2]int32]*Edge{},
 	}
 }
+
+// refPair drives the real tool, which drives the substrate, and then the
+// reference, so the reference reads contexts the substrate has already
+// updated for the same primitive.
+type refPair struct {
+	real *Tool
+	ref  *refTool
+}
+
+func (p refPair) ProgramStart(prog *vm.Program, m *vm.Machine) {
+	p.real.ProgramStart(prog, m)
+	p.ref.ProgramStart(prog, m)
+}
+func (p refPair) FnEnter(fn int)             { p.real.FnEnter(fn); p.ref.FnEnter(fn) }
+func (p refPair) FnLeave(fn int)             { p.real.FnLeave(fn); p.ref.FnLeave(fn) }
+func (p refPair) Branch(site uint64, t bool) { p.real.Branch(site, t); p.ref.Branch(site, t) }
+func (p refPair) MemRead(a uint64, s uint8)  { p.real.MemRead(a, s); p.ref.MemRead(a, s) }
+func (p refPair) MemWrite(a uint64, s uint8) {
+	p.real.MemWrite(a, s)
+	p.ref.MemWrite(a, s)
+}
+func (p refPair) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
+	p.real.Syscall(sys, inAddr, inLen, outAddr, outLen)
+	p.ref.Syscall(sys, inAddr, inLen, outAddr, outLen)
+}
+func (p refPair) ProgramEnd() { p.real.ProgramEnd(); p.ref.ProgramEnd() }
 
 func (r *refTool) obj(addr uint64) *refObj {
 	o := r.shadow[addr]
@@ -188,7 +214,7 @@ func TestDifferentialAgainstReference(t *testing.T) {
 			sub := newSubstrate()
 			real := mustNew(sub, Options{})
 			ref := newRefTool(sub)
-			if _, err := dbi.Run(prog, dbi.Chain{sub, real, ref}, input); err != nil {
+			if _, err := dbi.Run(prog, refPair{real, ref}, input); err != nil {
 				t.Fatal(err)
 			}
 			res, err := real.Result()

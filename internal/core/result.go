@@ -169,8 +169,8 @@ func (r *Result) TotalCommunicated() CommStats {
 
 // Run profiles one program under Sigil with a fresh machine and substrate,
 // returning the completed result. It is RunContext without cancellation;
-// callers needing the substrate mid-run (or custom chaining) can assemble
-// the tools themselves.
+// callers needing the substrate mid-run can build it themselves and compose
+// the Sigil tool over it with New.
 func Run(p *vm.Program, opts Options, input []byte) (*Result, error) {
 	return RunContext(context.Background(), p, opts, input)
 }
@@ -266,7 +266,7 @@ func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) 
 			return nil
 		}
 	}
-	run, runErr := dbi.RunContext(ctx, p, dbi.Chain{sub, tool}, input, stop)
+	run, runErr := dbi.RunContext(ctx, p, tool, input, stop)
 	out, resErr := tool.Result()
 	if out != nil {
 		out.Wall = run.Duration

@@ -70,8 +70,8 @@ type Options struct {
 	MaxShadowChunksHard int
 
 	// Substrate configures the Callgrind-analogue tool Run creates
-	// (cache geometry, branch predictor, prefetcher). Ignored when the
-	// caller assembles its own tool chain via New.
+	// (cache geometry, branch predictor, prefetcher). Ignored by New,
+	// whose caller passes the substrate tool already configured.
 	Substrate callgrind.Options
 
 	// Telemetry, when non-nil, receives live run metrics: the tool
@@ -139,10 +139,12 @@ func (o Options) shardedWanted() bool {
 	return o.ClassifyWorkers > 0 && o.MaxShadowChunks == 0 && !o.refScalar
 }
 
-// Tool is the Sigil instrumentation tool. It must run chained after (and
-// pointed at) a callgrind.Tool, which resolves the executing calling
-// context — mirroring how the paper's Sigil hooks into Callgrind to identify
-// function names and count operations.
+// Tool is the Sigil instrumentation tool. It composes a callgrind.Tool,
+// which resolves the executing calling context — mirroring how the paper's
+// Sigil hooks into Callgrind to identify function names and count
+// operations. Each callback drives the substrate first and then does
+// Sigil's own work, so the machine makes one interface call per primitive
+// and the substrate's context is always current when Sigil reads it.
 //
 // The embedded classifier holds the shadow table and every classification
 // aggregate; with ClassifyWorkers > 0 the memory callbacks append access
@@ -158,6 +160,7 @@ type Tool struct {
 	// callbacks classify inline on the interpreter goroutine.
 	engine *classifyEngine
 
+	mach    *vm.Machine
 	stack   []segFrame
 	events  trace.Sink
 	evErr   error
@@ -173,15 +176,16 @@ type Tool struct {
 	result   *Result
 }
 
-// segFrame mirrors one open function call for event segmentation: ops and
+// segFrame mirrors one open function call for event segmentation:
 // per-producer unique bytes accumulate until the segment closes at the next
-// call boundary.
+// call boundary, and the segment's operations are the machine's op total
+// at the close minus opStart.
 type segFrame struct {
-	ctx  int32
-	enc  uint32 // encoded ctx, cached for the hot path
-	call uint64
-	ops  uint64
-	comm []commAcc
+	ctx     int32
+	enc     uint32 // encoded ctx, cached for the hot path
+	call    uint64
+	opStart uint64 // machine op total when the open segment started
+	comm    []commAcc
 }
 
 type commAcc struct {
@@ -192,8 +196,9 @@ type commAcc struct {
 
 var _ vm.Observer = (*Tool)(nil)
 
-// New returns a Sigil tool observing contexts through sub. Run it with
-// dbi.Chain{sub, sigilTool} so the substrate sees each event first.
+// New returns a Sigil tool composed over the substrate sub. Run the Sigil
+// tool alone: it forwards every primitive to sub before its own work, so
+// sub must not also be attached to the machine.
 func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 	opts = opts.withDefaults()
 	if err := opts.validate(); err != nil {
@@ -220,6 +225,8 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 // observer callback, so tools that are constructed but never run (tests,
 // benches poking the classifier directly) never start workers.
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
+	t.sub.ProgramStart(p, m)
+	t.mach = m
 	if t.opts.shardedWanted() && t.engine == nil {
 		t.engine = newClassifyEngine(t)
 	}
@@ -237,9 +244,10 @@ func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 	}
 }
 
-// FnEnter implements dbi.Tool. The substrate has already pushed the new
-// context; Sigil mirrors it and starts a fresh event segment.
+// FnEnter implements dbi.Tool. The substrate pushes the new context first;
+// Sigil mirrors it and starts a fresh event segment.
 func (t *Tool) FnEnter(fn int) {
+	t.sub.FnEnter(fn)
 	node := t.sub.Current()
 	if node == nil {
 		return
@@ -253,42 +261,53 @@ func (t *Tool) FnEnter(fn int) {
 		t.defineCtx(node)
 		t.emit(trace.Event{Kind: trace.KindEnter, Ctx: int32(node.ID), Call: call, Time: t.sub.Now()})
 	}
-	t.stack = append(t.stack, segFrame{
-		ctx:  int32(node.ID),
-		enc:  encodeCtx(int32(node.ID)),
-		call: call,
-	})
+	f := segFrame{ctx: int32(node.ID), enc: encodeCtx(int32(node.ID)), call: call}
+	if t.events != nil {
+		f.opStart = t.opsNow()
+	}
+	t.stack = append(t.stack, f)
 }
 
 // FnLeave implements dbi.Tool.
 func (t *Tool) FnLeave(fn int) {
+	t.sub.FnLeave(fn)
 	if len(t.stack) == 0 {
 		return
 	}
+	t.popFrame()
+}
+
+// popFrame closes the innermost call: its last segment and, in the event
+// representation, its Leave. The caller's segment restarts at the pop, so
+// none of the callee's operations are charged to it.
+func (t *Tool) popFrame() {
 	f := &t.stack[len(t.stack)-1]
 	if t.events != nil {
 		t.closeSegment(f)
 		t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
 	}
 	t.stack = t.stack[:len(t.stack)-1]
+	if t.events != nil && len(t.stack) > 0 {
+		t.stack[len(t.stack)-1].opStart = t.opsNow()
+	}
 }
 
-// Op implements dbi.Tool: operations accrue to the open segment for the
-// event representation (the substrate keeps the per-context totals).
-func (t *Tool) Op(class vm.OpClass) {
-	if len(t.stack) > 0 {
-		t.stack[len(t.stack)-1].ops++
-	}
+// opsNow is the machine's running total of retired operations, the
+// clock event segments measure their computation by.
+func (t *Tool) opsNow() uint64 {
+	intOps, fpOps := t.mach.OpCounts()
+	return intOps + fpOps
 }
 
 // Branch implements dbi.Tool (no Sigil-specific action; the substrate
 // simulates prediction).
-func (t *Tool) Branch(site uint64, taken bool) {}
+func (t *Tool) Branch(site uint64, taken bool) { t.sub.Branch(site, taken) }
 
 // MemRead implements dbi.Tool: every granule of the access is classified.
 // Each granule counts one unit: a byte in byte mode (g1-g0+1 == size), a
 // line-touch in line-granularity mode.
 func (t *Tool) MemRead(addr uint64, size uint8) {
+	t.sub.MemRead(addr, size)
 	if len(t.stack) == 0 {
 		return
 	}
@@ -304,6 +323,7 @@ func (t *Tool) MemRead(addr uint64, size uint8) {
 
 // MemWrite implements dbi.Tool: the writer takes ownership of the granules.
 func (t *Tool) MemWrite(addr uint64, size uint8) {
+	t.sub.MemWrite(addr, size)
 	if len(t.stack) == 0 {
 		return
 	}
@@ -326,6 +346,7 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 // the engine is on — they are additive, so the end-of-run merge folds them
 // with the shard deltas.
 func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
+	t.sub.Syscall(sys, inAddr, inLen, outAddr, outLen)
 	now := t.sub.Now()
 	if inLen > 0 && len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
@@ -361,18 +382,19 @@ func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	}
 }
 
-// ProgramEnd implements dbi.Tool: remaining segments close, the sharded
-// engine (when on) drains and merges its shard classifiers back into the
-// tool's, all live shadow chunks flush their open re-use episodes, and the
-// result is frozen.
+// ProgramEnd implements dbi.Tool: the substrate charges its last
+// attribution, then Sigil finishes.
 func (t *Tool) ProgramEnd() {
+	t.sub.ProgramEnd()
+	t.finish()
+}
+
+// finish closes the remaining segments, drains and merges the sharded
+// engine (when on) back into the tool's classifier, flushes the open
+// re-use episodes of all live shadow chunks, and freezes the result.
+func (t *Tool) finish() {
 	for len(t.stack) > 0 {
-		f := &t.stack[len(t.stack)-1]
-		if t.events != nil {
-			t.closeSegment(f)
-			t.emit(trace.Event{Kind: trace.KindLeave, Ctx: f.ctx, Call: f.call, Time: t.sub.Now()})
-		}
-		t.stack = t.stack[:len(t.stack)-1]
+		t.popFrame()
 	}
 	if t.engine != nil {
 		t.engine.finish(t)
@@ -383,8 +405,12 @@ func (t *Tool) ProgramEnd() {
 
 // abort force-finishes observation after a mid-run failure (typically a
 // recovered panic that skipped the machine's ProgramEnd), so the aggregates
-// collected up to the failure can still be frozen into a Result. A second
-// failure while finalizing is swallowed: salvage is best-effort.
+// collected up to the failure can still be frozen into a Result. The
+// operation counters live in the machine, so the substrate's final
+// attribution charges every operation retired before the failure. A second
+// failure while finalizing is swallowed: salvage is best-effort, and the
+// substrate and Sigil finalize in separate recover scopes so one failing
+// does not skip the other.
 func (t *Tool) abort() {
 	if t.finished {
 		return
@@ -399,7 +425,7 @@ func (t *Tool) abort() {
 	}()
 	func() {
 		defer func() { _ = recover() }()
-		t.ProgramEnd()
+		t.finish()
 	}()
 	t.finished = true
 }
@@ -446,7 +472,8 @@ func (t *Tool) closeSegment(f *segFrame) {
 	if t.engine != nil {
 		f.comm = t.engine.drainSegment(f.comm[:0])
 	}
-	if f.ops == 0 && len(f.comm) == 0 {
+	ops := t.opsNow() - f.opStart
+	if ops == 0 && len(f.comm) == 0 {
 		return
 	}
 	now := t.sub.Now()
@@ -461,8 +488,8 @@ func (t *Tool) closeSegment(f *segFrame) {
 			Time:    now,
 		})
 	}
-	t.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: f.ops, Time: now})
-	f.ops = 0
+	t.emit(trace.Event{Kind: trace.KindOps, Ctx: f.ctx, Call: f.call, Ops: ops, Time: now})
+	f.opStart += ops
 	f.comm = f.comm[:0]
 }
 

@@ -18,6 +18,7 @@ import (
 	"sigil/internal/telemetry"
 	"sigil/internal/trace"
 	"sigil/internal/tracing"
+	"sigil/internal/vm"
 	"sigil/internal/workloads"
 )
 
@@ -362,27 +363,35 @@ func (s *Suite) measureTiming(name string, class workloads.Class) (Timing, error
 		return Timing{}, err
 	}
 	t.Sigil, err = median(func() (time.Duration, error) {
-		sub, err := callgrind.New(callgrind.Options{})
-		if err != nil {
-			return 0, err
-		}
-		tool, err := core.New(sub, s.coreOptions(name, ModeBaseline))
-		if err != nil {
-			return 0, err
-		}
-		res, err := dbi.RunContext(s.ctx(), prog, dbi.Chain{sub, tool}, input, nil)
-		if err != nil {
-			return 0, err
-		}
-		r, err := tool.Result()
+		r, d, err := sigilRun(s.ctx(), prog, input, s.coreOptions(name, ModeBaseline))
 		if err != nil {
 			return 0, err
 		}
 		t.ShadowPeak = r.Shadow.PeakBytes
-		return res.Duration, nil
+		return d, nil
 	})
 	if err != nil {
 		return Timing{}, err
 	}
 	return t, nil
+}
+
+// sigilRun is one Sigil-mode timing run: the Sigil tool, which composes
+// its substrate, driven alone on a fresh machine and timed like the native
+// and Callgrind-mode runs. Its profile must be the one core.Run produces.
+func sigilRun(ctx context.Context, prog *vm.Program, input []byte, opts core.Options) (*core.Result, time.Duration, error) {
+	sub, err := callgrind.New(opts.Substrate)
+	if err != nil {
+		return nil, 0, err
+	}
+	tool, err := core.New(sub, opts)
+	if err != nil {
+		return nil, 0, err
+	}
+	res, err := dbi.RunContext(ctx, prog, tool, input, nil)
+	if err != nil {
+		return nil, 0, err
+	}
+	r, err := tool.Result()
+	return r, res.Duration, err
 }

@@ -220,7 +220,12 @@ const (
 	ClassFPMul
 	ClassFPDiv // fp divide and sqrt
 	ClassConv  // int<->fp conversion
+
+	numOpClasses = 8 // a power of two, so a class can index by mask
 )
+
+// The mask in the dispatch loop assumes every class fits numOpClasses.
+var _ [numOpClasses - 1 - ClassConv]struct{}
 
 var opClassNames = [...]string{
 	ClassNone:   "none",
@@ -252,8 +257,9 @@ func (c OpClass) IsInt() bool {
 }
 
 // classOf maps opcodes with an arithmetic cost to their class; opcodes that
-// are pure control or memory map to ClassNone.
-var classOf = [opCount]OpClass{
+// are pure control or memory map to ClassNone. It spans the whole Op range,
+// so the dispatch loop indexes it without a bounds check.
+var classOf = [1 << 8]OpClass{
 	OpMovi: ClassIntALU, OpMov: ClassIntALU,
 	OpAdd: ClassIntALU, OpSub: ClassIntALU,
 	OpMul: ClassIntMul, OpDiv: ClassIntDiv, OpRem: ClassIntDiv,

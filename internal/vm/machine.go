@@ -36,6 +36,7 @@ type Machine struct {
 	prog    *Program
 	obs     Observer
 	instret uint64
+	ops     [numOpClasses]uint64 // retired operations per OpClass
 	heap    uint64
 	rng     uint64
 
@@ -91,6 +92,17 @@ func (m *Machine) SetInput(b []byte) { m.input = b }
 // platform-independent time proxy used throughout the methodology.
 func (m *Machine) InstrCount() uint64 { return m.instret }
 
+// OpCounts returns the arithmetic operations retired so far under an
+// observer, split the way the cost centres count them: conversions count as
+// integer operations. Like InstrCount it is a running total; tools charge
+// its deltas at call boundaries instead of observing every operation. A
+// native run (nil observer) skips the count and reports zero.
+func (m *Machine) OpCounts() (intOps, fpOps uint64) {
+	intOps = m.ops[ClassIntALU] + m.ops[ClassIntMul] + m.ops[ClassIntDiv] + m.ops[ClassConv]
+	fpOps = m.ops[ClassFPAdd] + m.ops[ClassFPMul] + m.ops[ClassFPDiv]
+	return intOps, fpOps
+}
+
 // OutputBytes returns the total bytes consumed by SysWrite.
 func (m *Machine) OutputBytes() uint64 { return m.outBytes }
 
@@ -133,6 +145,7 @@ func (m *Machine) RunContext(ctx context.Context, p *Program, obs Observer) (Run
 	m.obs = obs
 	m.heap = HeapBase
 	m.instret = 0
+	m.ops = [numOpClasses]uint64{}
 	m.inputPos = 0
 	m.outBytes = 0
 	m.frames = m.frames[:0]
@@ -413,10 +426,11 @@ func (m *Machine) loop(ctx context.Context, p *Program, obs Observer, maxInstrs 
 			return fault("unimplemented opcode")
 		}
 
+		// Counted after the switch, so a faulting instruction is not, and
+		// only under an observer, so native runs pay nothing for it. The
+		// mask is a no-op on valid classes and drops the bounds check.
 		if obs != nil {
-			if c := classOf[in.Op]; c != ClassNone {
-				obs.Op(c)
-			}
+			m.ops[classOf[in.Op]&(numOpClasses-1)]++
 		}
 		pc = nextPC
 	}

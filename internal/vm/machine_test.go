@@ -585,7 +585,6 @@ func TestInstrCountMatchesStats(t *testing.T) {
 type observerRecorder struct {
 	BaseObserver
 	enters, leaves []int
-	ops            []OpClass
 	reads, writes  []uint64
 	branches       []bool
 	syscalls       []Sys
@@ -593,7 +592,6 @@ type observerRecorder struct {
 
 func (o *observerRecorder) FnEnter(fn int)              { o.enters = append(o.enters, fn) }
 func (o *observerRecorder) FnLeave(fn int)              { o.leaves = append(o.leaves, fn) }
-func (o *observerRecorder) Op(c OpClass)                { o.ops = append(o.ops, c) }
 func (o *observerRecorder) Branch(site uint64, tk bool) { o.branches = append(o.branches, tk) }
 func (o *observerRecorder) MemRead(a uint64, s uint8)   { o.reads = append(o.reads, a) }
 func (o *observerRecorder) MemWrite(a uint64, s uint8)  { o.writes = append(o.writes, a) }
@@ -616,7 +614,8 @@ func TestObserverStream(t *testing.T) {
 	p := mustBuild(b)
 
 	rec := &observerRecorder{}
-	if _, err := NewMachine().Run(p, rec); err != nil {
+	m := NewMachine()
+	if _, err := m.Run(p, rec); err != nil {
 		t.Fatal(err)
 	}
 	mainIdx, _ := p.FuncIndex("main")
@@ -635,9 +634,44 @@ func TestObserverStream(t *testing.T) {
 	if len(rec.reads) != 1 || rec.reads[0] != buf {
 		t.Errorf("reads = %v, want [%d]", rec.reads, buf)
 	}
-	// movi, movi are IntALU ops; store/load/call/halt are not.
-	if len(rec.ops) != 2 {
-		t.Errorf("ops = %v, want 2 IntALU", rec.ops)
+	// movi, movi are IntALU ops; store/load/call/ret/halt are not.
+	if intOps, fpOps := m.OpCounts(); intOps != 2 || fpOps != 0 {
+		t.Errorf("OpCounts = %d int, %d fp; want 2, 0", intOps, fpOps)
+	}
+}
+
+// TestOpCountsByClass: every class is counted once per retired instruction,
+// conversions as integer operations, and an instruction that faults is not
+// counted. A native run skips the count.
+func TestOpCountsByClass(t *testing.T) {
+	b := NewBuilder()
+	f := b.Func("main")
+	f.Movi(R1, 6)      // ialu
+	f.Movi(R2, 3)      // ialu
+	f.Mul(R3, R1, R2)  // imul
+	f.Div(R3, R3, R2)  // idiv
+	f.ItoF(F1, R1)     // conv: integer
+	f.FMul(F2, F1, F1) // fpmul
+	f.FSqrt(F3, F2)    // fpdiv
+	f.FtoI(R4, F3)     // conv: integer
+	f.Movi(R2, 0)      // ialu
+	f.Div(R5, R1, R2)  // faults: divide by zero
+	f.Halt()
+	p := mustBuild(b)
+	m := NewMachine()
+	if _, err := m.Run(p, BaseObserver{}); err == nil {
+		t.Fatal("divide by zero did not fault")
+	}
+	if m.InstrCount() != 10 {
+		t.Errorf("retired %d instructions, want 10 (the faulting div included)", m.InstrCount())
+	}
+	if intOps, fpOps := m.OpCounts(); intOps != 7 || fpOps != 2 {
+		t.Errorf("OpCounts = %d int, %d fp; want 7, 2 (faulting div not counted)", intOps, fpOps)
+	}
+	native := NewMachine()
+	_, _ = native.Run(p, nil) // faults on the same div
+	if intOps, fpOps := native.OpCounts(); intOps != 0 || fpOps != 0 {
+		t.Errorf("native OpCounts = %d int, %d fp; want 0, 0", intOps, fpOps)
 	}
 }
 

@@ -1,11 +1,18 @@
 package vm
 
 // Observer is the instrumentation hook interface: the machine reduces the
-// running program to a stream of primitives — function transitions,
-// arithmetic operations, memory accesses, branches and syscalls — and drives
-// an Observer with them. This is the boundary that plays the role Valgrind's
-// translation layer plays for Sigil: everything the profiling methodology
-// consumes arrives through these callbacks.
+// running program to a stream of primitives — function transitions, memory
+// accesses, branches and syscalls — and drives an Observer with them, one
+// interface call per primitive. This is the boundary that plays the role
+// Valgrind's translation layer plays for Sigil: everything the profiling
+// methodology consumes arrives through these callbacks or through the
+// machine's running counters.
+//
+// Arithmetic operations are not callbacks. Like retired instructions
+// (Machine.InstrCount), the machine counts them per class
+// (Machine.OpCounts), and tools charge the deltas at call boundaries: every
+// consumer only counts them, and a callback per operation was the largest
+// single cost of instrumented runs.
 //
 // A nil Observer ("native run") skips all instrumentation dispatch, which is
 // what the paper's native-vs-instrumented slowdown figures compare against.
@@ -22,9 +29,6 @@ type Observer interface {
 	// FnLeave is called when function fn returns, before control resumes
 	// in its caller.
 	FnLeave(fn int)
-
-	// Op is called for every retired arithmetic operation with its class.
-	Op(class OpClass)
 
 	// Branch is called for every retired conditional branch. site
 	// uniquely identifies the static branch instruction.
@@ -58,9 +62,6 @@ func (BaseObserver) FnEnter(int) {}
 
 // FnLeave implements Observer.
 func (BaseObserver) FnLeave(int) {}
-
-// Op implements Observer.
-func (BaseObserver) Op(OpClass) {}
 
 // Branch implements Observer.
 func (BaseObserver) Branch(uint64, bool) {}

@@ -51,6 +51,6 @@ go test -run '^$' -fuzz FuzzReadProfile -fuzztime "$FUZZTIME" ./internal/core
 go test -run '^$' -fuzz FuzzBatchedClassifier -fuzztime "$FUZZTIME" ./internal/core
 
 echo "== bench smoke (scratch output; committed BENCH_N.json untouched)"
-OUT="$(mktemp)" BENCHTIME=1x sh scripts/bench.sh 'AblationTelemetry' > /dev/null
+OUT="$(mktemp)" COUNT=1 BENCHTIME=1x sh scripts/bench.sh 'AblationTelemetry' > /dev/null
 
 echo "== all checks passed"
