@@ -11,7 +11,7 @@ import (
 
 // diffMode is one profiling configuration the batched/scalar differential
 // covers: the three paper modes plus an eviction-heavy variant that forces
-// the FIFO limit, cache invalidation and pool recycling into play.
+// the FIFO limit, cache invalidation and chunk recycling into play.
 type diffMode struct {
 	name   string
 	opts   Options

@@ -158,7 +158,7 @@ func BenchmarkShadowCacheAlternating(b *testing.B) {
 }
 
 // BenchmarkShadowEvictChurn streams fresh chunks through a limited table:
-// every get materializes, evicts and (after warmup) recycles a pooled
+// every get materializes, evicts and (after warmup) recycles the spare
 // buffer — the dedup MaxShadowChunks regime.
 func BenchmarkShadowEvictChurn(b *testing.B) {
 	tb := newShadowTable(4, false, nil)

@@ -12,8 +12,6 @@
 // the executing context and classify every access.
 package core
 
-import "sync"
-
 // shadowObj is the baseline shadow-memory object, one per granule (byte or
 // line). It matches Table I of the paper: last writer, last reader, and the
 // last reader's call number (the writer's call number is kept as well; the
@@ -137,10 +135,11 @@ func shadowBytesPerGranule(reuse bool) uint64 {
 // When the limit is reached the oldest chunk is evicted through the onEvict
 // callback (which flushes its open re-use episodes), trading a small,
 // bounded accuracy loss for bounded memory — the paper's memory-limit
-// command-line option, needed there only for dedup. Evicted chunks are
-// zeroed and recycled through a sync.Pool, so sustained eviction churn under
-// MaxShadowChunks reuses the same few buffers instead of hammering the
-// allocator with 256KiB blocks.
+// command-line option, needed there only for dedup. An evicted chunk is
+// zeroed and kept as the spare for the next materialization, so sustained
+// eviction churn under MaxShadowChunks reuses one buffer instead of
+// hammering the allocator with 256KiB blocks. get materializes before it
+// evicts, so at most one evicted buffer is ever waiting: one slot suffices.
 type shadowTable struct {
 	chunks  map[uint64]*shadowChunk
 	cache   [shadowCacheSlots]shadowCacheSlot
@@ -149,11 +148,11 @@ type shadowTable struct {
 	max     int      // max live chunks; 0 = unlimited
 	reuse   bool
 	onEvict func(key uint64, ch *shadowChunk)
-	pool    sync.Pool // evicted *shadowChunk, zeroed and ready for reuse
+	spare   *shadowChunk // last evicted chunk, zeroed and ready for reuse
 
 	allocated uint64 // chunks ever created (including recycled buffers)
 	evicted   uint64
-	recycled  uint64 // materializations served from the pool
+	recycled  uint64 // materializations served by the spare
 	peakLive  int
 
 	cacheHits   uint64
@@ -212,12 +211,13 @@ func (t *shadowTable) peek(g uint64) (*shadowChunk, uint32) {
 	return ch, uint32(g & chunkMask)
 }
 
-// newChunk materializes a chunk buffer, recycling an evicted one when the
-// pool has it.
+// newChunk materializes a chunk buffer, recycling the spare when there is
+// one.
 func (t *shadowTable) newChunk() *shadowChunk {
-	if v := t.pool.Get(); v != nil {
+	if ch := t.spare; ch != nil {
+		t.spare = nil
 		t.recycled++
-		return v.(*shadowChunk)
+		return ch
 	}
 	ch := &shadowChunk{objs: make([]shadowObj, chunkGranules)}
 	if t.reuse {
@@ -246,7 +246,7 @@ func (t *shadowTable) evictOldest() {
 		if ch.reuse != nil {
 			clear(ch.reuse)
 		}
-		t.pool.Put(ch)
+		t.spare = ch
 		t.evicted++
 		return
 	}
@@ -264,29 +264,6 @@ func (t *shadowTable) compactOrder() {
 		n := copy(t.order, t.order[t.head:])
 		t.order = t.order[:n]
 		t.head = 0
-	}
-}
-
-// adopt folds a shard-private table into t at the end of a sharded run.
-// Shards partition the chunk space by key hash, so the chunk maps are
-// disjoint and the union is exactly the set of chunks an inline run would
-// have materialized; the counters are plain sums. Shard tables never evict
-// (the engine requires an unlimited table), so each shard's peak equals its
-// final live count and the summed peak equals the inline peak — byte
-// identity of ShadowStats rests on this, and the max with the merged live
-// count keeps the gauge honest if that invariant ever shifts.
-func (t *shadowTable) adopt(w *shadowTable) {
-	for key, ch := range w.chunks {
-		t.chunks[key] = ch
-	}
-	t.allocated += w.allocated
-	t.evicted += w.evicted
-	t.recycled += w.recycled
-	t.cacheHits += w.cacheHits
-	t.cacheMisses += w.cacheMisses
-	t.peakLive += w.peakLive
-	if live := len(t.chunks); live > t.peakLive {
-		t.peakLive = live
 	}
 }
 

@@ -31,21 +31,6 @@ type Options struct {
 	// negligible accuracy loss.
 	MaxShadowChunks int
 
-	// ClassifyWorkers moves read/write classification off the interpreter
-	// goroutine: the memory callbacks append compact access records into
-	// per-shard double-buffered slabs, and this many worker goroutines each
-	// drain the records whose chunks hash into their shard against a
-	// shard-private shadow table. Call-boundary barriers and an end-of-run
-	// merge fold the per-shard deltas into the canonical Result, which the
-	// differential suite pins byte-identical to inline classification.
-	//
-	// 0 (the default) classifies inline. The engine requires the full
-	// chunk space to stay resident, so MaxShadowChunks > 0 falls back to
-	// inline classification: FIFO eviction order is a property of the
-	// global access interleaving that shard-private tables cannot
-	// reproduce.
-	ClassifyWorkers int
-
 	// Events, when non-nil, receives the event-file representation: the
 	// execution as a sequence of dependent events.
 	Events trace.Sink
@@ -83,21 +68,19 @@ type Options struct {
 	Telemetry *telemetry.Metrics
 
 	// Trace, when non-nil, records the run into the tracing subsystem: a
-	// root "run" span with telemetry-counter deltas, a poll-point sample
-	// timeline for the counter tracks of the Chrome export, and — when the
-	// sharded engine is on — one track per classification worker. The
-	// buffer must be owned by the goroutine calling Run/RunContext (the
-	// machine executes on the caller's goroutine). When Telemetry is nil a
-	// private Metrics block is attached for the run so span deltas still
-	// reconcile with Result.Telemetry.
+	// root "run" span with telemetry-counter deltas and a poll-point sample
+	// timeline for the counter tracks of the Chrome export. The buffer
+	// must be owned by the goroutine calling Run/RunContext (the machine
+	// executes on the caller's goroutine). When Telemetry is nil a private
+	// Metrics block is attached for the run so span deltas still reconcile
+	// with Result.Telemetry.
 	Trace *tracing.Buf
 
 	// refScalar forces the retained granule-at-a-time reference
 	// classification path instead of the batched chunk-run path. The two
 	// are required to produce byte-identical results; this knob exists so
 	// the differential and fuzz harnesses can prove it, and is therefore
-	// unexported: it is not a supported production mode. It also forces
-	// inline classification regardless of ClassifyWorkers.
+	// unexported: it is not a supported production mode.
 	refScalar bool
 }
 
@@ -118,9 +101,6 @@ func (o Options) validate() error {
 	if o.MaxShadowChunksHard < 0 {
 		return fmt.Errorf("core: negative shadow chunk budget")
 	}
-	if o.ClassifyWorkers < 0 {
-		return fmt.Errorf("core: negative classification worker count")
-	}
 	if o.MaxWall < 0 {
 		return fmt.Errorf("core: negative wall-clock budget")
 	}
@@ -133,12 +113,6 @@ func (o Options) validate() error {
 	return nil
 }
 
-// shardedWanted reports whether this configuration runs the sharded
-// classification engine (see Options.ClassifyWorkers for the fallbacks).
-func (o Options) shardedWanted() bool {
-	return o.ClassifyWorkers > 0 && o.MaxShadowChunks == 0 && !o.refScalar
-}
-
 // Tool is the Sigil instrumentation tool. It composes a callgrind.Tool,
 // which resolves the executing calling context — mirroring how the paper's
 // Sigil hooks into Callgrind to identify function names and count
@@ -147,18 +121,13 @@ func (o Options) shardedWanted() bool {
 // and the substrate's context is always current when Sigil reads it.
 //
 // The embedded classifier holds the shadow table and every classification
-// aggregate; with ClassifyWorkers > 0 the memory callbacks append access
-// records to the sharded engine instead of classifying into it, and the
-// engine merges its shard-private classifiers back at the end of the run.
+// aggregate, and the memory callbacks classify into it on the goroutine
+// running the program.
 type Tool struct {
 	classifier
 
 	sub  *callgrind.Tool
 	opts Options
-
-	// engine is the sharded classification pipeline; nil means the memory
-	// callbacks classify inline on the interpreter goroutine.
-	engine *classifyEngine
 
 	mach    *vm.Machine
 	stack   []segFrame
@@ -194,6 +163,18 @@ type commAcc struct {
 	bytes   uint64
 }
 
+// addComm accumulates bytes the open segment read from producer call
+// (srcEnc, srcCall), keeping producers in first-encounter order.
+func (f *segFrame) addComm(srcEnc uint32, srcCall, bytes uint64) {
+	for i := range f.comm {
+		if f.comm[i].srcEnc == srcEnc && f.comm[i].srcCall == srcCall {
+			f.comm[i].bytes += bytes
+			return
+		}
+	}
+	f.comm = append(f.comm, commAcc{srcEnc: srcEnc, srcCall: srcCall, bytes: bytes})
+}
+
 var _ vm.Observer = (*Tool)(nil)
 
 // New returns a Sigil tool composed over the substrate sub. Run the Sigil
@@ -209,10 +190,8 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 		opts:   opts,
 		events: opts.Events,
 	}
-	t.classifier.init(opts, opts.MaxShadowChunks)
-	if t.events != nil {
-		t.onComm = t.accumulateComm
-	}
+	t.classifier.init(opts)
+	t.segComm = t.events != nil
 	if st, ok := opts.Events.(interface{ Stats() trace.WriterStats }); ok {
 		t.evStats = st.Stats
 	}
@@ -221,25 +200,15 @@ func New(sub *callgrind.Tool, opts Options) (*Tool, error) {
 
 // ProgramStart implements dbi.Tool. The loader's initialized data segments
 // are marked as produced at startup: they are the program's true input.
-// This is also where the sharded engine spins up: ProgramStart is the first
-// observer callback, so tools that are constructed but never run (tests,
-// benches poking the classifier directly) never start workers.
 func (t *Tool) ProgramStart(p *vm.Program, m *vm.Machine) {
 	t.sub.ProgramStart(p, m)
 	t.mach = m
-	if t.opts.shardedWanted() && t.engine == nil {
-		t.engine = newClassifyEngine(t)
-	}
 	for _, s := range p.Segments {
 		if len(s.Data) == 0 {
 			continue
 		}
 		g0 := s.Addr >> t.shift
 		g1 := (s.Addr + uint64(len(s.Data)) - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opStartup, encStartup, 0, g0, g1, 0)
-			continue
-		}
 		t.markStartup(g0, g1)
 	}
 }
@@ -314,10 +283,6 @@ func (t *Tool) MemRead(addr uint64, size uint8) {
 	f := &t.stack[len(t.stack)-1]
 	g0 := addr >> t.shift
 	g1 := (addr + uint64(size) - 1) >> t.shift
-	if t.engine != nil {
-		t.engine.recordAccess(opRead, f.enc, f.call, g0, g1, t.sub.Now())
-		return
-	}
 	t.readRange(f, g0, g1, t.sub.Now())
 }
 
@@ -330,10 +295,6 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 	f := &t.stack[len(t.stack)-1]
 	g0 := addr >> t.shift
 	g1 := (addr + uint64(size) - 1) >> t.shift
-	if t.engine != nil {
-		t.engine.recordAccess(opWrite, f.enc, f.call, g0, g1, t.sub.Now())
-		return
-	}
 	t.writeRange(f.enc, f.call, g0, g1, t.sub.Now())
 }
 
@@ -341,10 +302,7 @@ func (t *Tool) MemWrite(addr uint64, size uint8) {
 // range (classified like its own reads — the syscall's data-marshalling
 // cost belongs to the caller) and the bytes then leave the program on an
 // explicit edge to the kernel; the output range is produced by the kernel.
-// Per the paper, nothing inside the call is visible. The explicit
-// kernel-edge aggregates stay on the interpreter-side classifier even when
-// the engine is on — they are additive, so the end-of-run merge folds them
-// with the shard deltas.
+// Per the paper, nothing inside the call is visible.
 func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	t.sub.Syscall(sys, inAddr, inLen, outAddr, outLen)
 	now := t.sub.Now()
@@ -352,11 +310,7 @@ func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 		f := &t.stack[len(t.stack)-1]
 		g0 := inAddr >> t.shift
 		g1 := (inAddr + inLen - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opRead, f.enc, f.call, g0, g1, now)
-		} else {
-			t.readRange(f, g0, g1, now)
-		}
+		t.readRange(f, g0, g1, now)
 		units := g1 - g0 + 1
 		t.kernelIn += units
 		if f.ctx >= 0 {
@@ -367,11 +321,7 @@ func (t *Tool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
 	if outLen > 0 {
 		g0 := outAddr >> t.shift
 		g1 := (outAddr + outLen - 1) >> t.shift
-		if t.engine != nil {
-			t.engine.recordAccess(opWrite, encKernel, 0, g0, g1, now)
-		} else {
-			t.writeRange(encKernel, 0, g0, g1, now)
-		}
+		t.writeRange(encKernel, 0, g0, g1, now)
 	}
 	if t.events != nil && len(t.stack) > 0 {
 		f := &t.stack[len(t.stack)-1]
@@ -389,15 +339,11 @@ func (t *Tool) ProgramEnd() {
 	t.finish()
 }
 
-// finish closes the remaining segments, drains and merges the sharded
-// engine (when on) back into the tool's classifier, flushes the open
-// re-use episodes of all live shadow chunks, and freezes the result.
+// finish closes the remaining segments, flushes the open re-use episodes
+// of all live shadow chunks, and freezes the result.
 func (t *Tool) finish() {
 	for len(t.stack) > 0 {
 		t.popFrame()
-	}
-	if t.engine != nil {
-		t.engine.finish(t)
 	}
 	t.shadow.forEach(t.flushChunk)
 	t.finished = true
@@ -418,7 +364,7 @@ func (t *Tool) abort() {
 	// The event sink may be the very thing that panicked: stop emitting
 	// while finalizing, and attempt each finalization step independently.
 	t.events = nil
-	t.onComm = nil
+	t.segComm = false
 	func() {
 		defer func() { _ = recover() }()
 		t.sub.ProgramEnd()
@@ -428,18 +374,6 @@ func (t *Tool) abort() {
 		t.finish()
 	}()
 	t.finished = true
-}
-
-// ClassifyError returns the first classification-worker failure, if any.
-// Like event-sink errors, worker faults do not stop the run: the remaining
-// shards keep classifying, the failed shard counts its records as dropped
-// (reconciled by telemetry: records == drained + dropped), and the fault
-// surfaces here after the run.
-func (t *Tool) ClassifyError() error {
-	if t.engine == nil {
-		return nil
-	}
-	return t.engine.err
 }
 
 func (t *Tool) growCtx(id int) {
@@ -453,25 +387,9 @@ func (t *Tool) growCtx(id int) {
 
 // --- event emission ---
 
-func (t *Tool) accumulateComm(f *segFrame, srcEnc uint32, srcCall, bytes uint64) {
-	for i := range f.comm {
-		if f.comm[i].srcEnc == srcEnc && f.comm[i].srcCall == srcCall {
-			f.comm[i].bytes += bytes
-			return
-		}
-	}
-	f.comm = append(f.comm, commAcc{srcEnc: srcEnc, srcCall: srcCall, bytes: bytes})
-}
-
 // closeSegment emits the open segment's accumulated communication and
-// operation count, then resets the frame for its next segment. With the
-// sharded engine on, the segment's communication lives in the workers'
-// keyed accumulators: a barrier drains every shard and merges them into
-// the frame in the inline first-encounter order.
+// operation count, then resets the frame for its next segment.
 func (t *Tool) closeSegment(f *segFrame) {
-	if t.engine != nil {
-		f.comm = t.engine.drainSegment(f.comm[:0])
-	}
 	ops := t.opsNow() - f.opStart
 	if ops == 0 && len(f.comm) == 0 {
 		return

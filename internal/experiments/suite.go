@@ -95,12 +95,6 @@ type Suite struct {
 	// coreOptions.
 	Workers int
 
-	// ClassifyWorkers, when positive, runs every profiling run's
-	// classification on that many shard workers off the interpreter thread
-	// (core.Options.ClassifyWorkers). Runs that need the FIFO eviction
-	// limit (dedup with DedupShadowLimit) fall back inline automatically.
-	ClassifyWorkers int
-
 	// Ctx, when non-nil, cancels the suite's profiling runs cooperatively
 	// (cmd/experiments wires it to SIGINT/SIGTERM).
 	Ctx context.Context
@@ -210,7 +204,7 @@ func NewSuite() *Suite {
 }
 
 func (s *Suite) coreOptions(name string, mode Mode) core.Options {
-	opts := core.Options{ClassifyWorkers: s.ClassifyWorkers}
+	opts := core.Options{}
 	switch mode {
 	case ModeReuse:
 		opts.TrackReuse = true

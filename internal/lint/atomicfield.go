@@ -10,8 +10,9 @@ import (
 
 // atomicfieldScope lists the packages whose atomic-bearing structs the
 // analyzer guards. telemetry.Metrics is the shared single-writer counter
-// block sampled from the interpreter's poll point; core holds the tool
-// state that feeds it.
+// block sampled from the interpreter's poll point. core holds no atomics
+// (the tool state that feeds Metrics is plain, single-goroutine data); it
+// stays in scope so any atomic added to it is held to the same contract.
 var atomicfieldScope = []string{"internal/telemetry", "internal/core"}
 
 // Atomicfield enforces the telemetry memory model: fields of sync/atomic

@@ -9,9 +9,9 @@ import (
 
 // Hotalloc keeps functions marked //sigil:hot allocation-free. These are
 // the per-record and per-access paths — the classifier's read/write range
-// handlers, the trace writer's Emit, the engine's recordAccess — where PR 8
-// found 2.4 MB/op of accidental garbage by hand. The static version flags
-// the four allocation sources that caused it:
+// handlers and the trace writer's Emit — where 2.4 MB/op of accidental
+// garbage was once found by hand. The static version flags the four
+// allocation sources that caused it:
 //
 //   - interface boxing: a concrete value passed or assigned where an
 //     interface is expected heap-allocates the box;

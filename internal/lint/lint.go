@@ -33,7 +33,6 @@ var All = []*analysis.Analyzer{
 	Sinkerr,
 	Exposition,
 	Detorder,
-	Shardown,
 	Hotalloc,
 	Goleak,
 }
@@ -145,6 +144,25 @@ func inScope(pkgPath string, suffixes []string) bool {
 		}
 	}
 	return false
+}
+
+// directiveRole extracts the role argument of a //sigil:<directive> comment
+// within the group, or "".
+func directiveRole(cg *ast.CommentGroup, directive string) string {
+	if cg == nil {
+		return ""
+	}
+	for _, c := range cg.List {
+		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
+		if !strings.HasPrefix(text, directive) {
+			continue
+		}
+		fields := strings.Fields(strings.TrimPrefix(text, directive))
+		if len(fields) > 0 {
+			return fields[0]
+		}
+	}
+	return ""
 }
 
 // walkStack traverses the AST below root, calling fn with each node and

@@ -1,15 +1,14 @@
-// Package core mirrors the sharded classification engine's state blocks
-// for the atomicfield analyzer: per-shard mirror counters (arrays of
-// atomics) that workers publish and the telemetry sampler reads. The
-// array field must propagate the no-copy property to the structs that
-// embed it.
+// Package core exercises the atomicfield analyzer on counter blocks held in
+// arrays: a struct whose only atomics sit in an array field, embedded in
+// turn as an array of such structs. The array fields must propagate the
+// no-copy property to the structs that embed them.
 package core
 
 import "sync/atomic"
 
-// shardMirror is a per-shard counter block: the worker stores, the
-// sampler loads, nobody locks.
-type shardMirror struct {
+// counterBlock is a block of counters: one goroutine stores, the sampler
+// loads, nobody locks.
+type counterBlock struct {
 	Counts [4]atomic.Uint64
 }
 
@@ -17,7 +16,7 @@ type shardMirror struct {
 // array make it a guarded struct.
 type engine struct {
 	Appended atomic.Uint64
-	Mirrors  [2]shardMirror
+	Mirrors  [2]counterBlock
 }
 
 // Good drains through pointers and the atomic API only.
@@ -31,7 +30,7 @@ func Good(e *engine) uint64 {
 // Bad reads an atomic field as a plain value and copies mirror blocks.
 func Bad(e *engine) uint64 {
 	v := e.Appended   // want `field engine.Appended has atomic type`
-	m := e.Mirrors[0] // want `assignment copies shardMirror by value`
+	m := e.Mirrors[0] // want `assignment copies counterBlock by value`
 	snap := *e        // want `assignment copies engine by value`
 	return v.Load() + m.Counts[0].Load() + snap.Appended.Load()
 }
@@ -39,18 +38,18 @@ func Bad(e *engine) uint64 {
 // Sweep copies each mirror out of the array while summing.
 func Sweep(e *engine) uint64 {
 	var total uint64
-	for _, m := range e.Mirrors { // want `range copies shardMirror by value`
+	for _, m := range e.Mirrors { // want `range copies counterBlock by value`
 		total += m.Counts[0].Load()
 	}
 	return total
 }
 
 // Merge takes a mirror block by value.
-func Merge(m shardMirror) uint64 { // want `parameter takes shardMirror by value`
+func Merge(m counterBlock) uint64 { // want `parameter takes counterBlock by value`
 	return m.Counts[0].Load()
 }
 
 // Snapshot copies a mirror through a return value.
-func Snapshot(e *engine) shardMirror { // want `result returns shardMirror by value`
-	return e.Mirrors[1] // want `return copies shardMirror by value`
+func Snapshot(e *engine) counterBlock { // want `result returns counterBlock by value`
+	return e.Mirrors[1] // want `return copies counterBlock by value`
 }

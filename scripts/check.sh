@@ -1,8 +1,7 @@
 #!/bin/sh
-# Full pre-merge check: vet, build, race-enabled tests, worker-pool
-# shakeouts of the parallel experiments suite and the sharded
-# classification engine, and a short fuzz smoke over the input parsers and
-# the batched classifier.
+# Full pre-merge check: vet, build, race-enabled tests, a worker-pool
+# shakeout of the parallel experiments suite, and a short fuzz smoke over
+# the input parsers and the batched classifier.
 set -eu
 cd "$(dirname "$0")/.."
 
@@ -22,7 +21,7 @@ go vet ./...
 echo "== go build"
 go build ./...
 
-echo "== sigil-lint (8 analyzers incl. shardown/hotalloc/goleak)"
+echo "== sigil-lint (7 analyzers incl. hotalloc/goleak)"
 go run ./cmd/sigil-lint ./...
 
 echo "== sigil-lint -vm (static program verifier over checked-in assembly)"
@@ -36,9 +35,6 @@ go test -race ./...
 
 echo "== experiments worker-pool shakeout (-race, uncached)"
 go test -race -count=1 -run 'TestProfileSingleflight|TestParallelSuite|TestRunPool' ./internal/experiments
-
-echo "== sharded classification shakeout (-race, uncached)"
-go test -race -count=1 -run 'TestShardShakeout|TestShardedRepeatRunsIdentical' ./internal/core
 
 echo "== chaos sweep (short; scripts/chaos.sh runs the full matrix)"
 go test -short -count=1 -run TestChaos ./internal/chaos
