@@ -8,6 +8,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 )
 
 // updateExposition regenerates testdata/exposition.golden. Scrapers and
@@ -17,9 +18,34 @@ var updateExposition = flag.Bool("update-exposition", false, "rewrite testdata/e
 
 const expositionGolden = "testdata/exposition.golden"
 
+// sentinelSnapshot sets every Snapshot field to a distinct value, in the
+// scheme TestTextCoversEverySnapshotField uses: same-width decimals, so no
+// sentinel is a substring of another. Nanosecond fields are scaled by 1e6
+// so their *_seconds series (rendered to the millisecond) stay distinct.
+func sentinelSnapshot(t *testing.T) Snapshot {
+	t.Helper()
+	var s Snapshot
+	v := reflect.ValueOf(&s).Elem()
+	for i := range v.NumField() {
+		val := uint64(31000000 + i)
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			f.SetUint(val)
+		case reflect.Int64:
+			f.SetInt(int64(val) * int64(time.Millisecond))
+		default:
+			t.Fatalf("unhandled Snapshot field kind %s for %s", f.Kind(), v.Type().Field(i).Name)
+		}
+	}
+	return s
+}
+
 // TestExpositionGolden pins the exported surface: every Prometheus series
-// (name and type, in exposition order) and every Snapshot JSON key (in
-// field order, omitempty keys included).
+// (name and type, in exposition order), every Snapshot JSON key (in field
+// order, omitempty keys included), and the full rendering of a snapshot
+// whose every field holds a distinct sentinel — the Prometheus text with
+// its HELP and TYPE lines, and the JSON object. The sentinel rendering pins
+// the help texts and which field each series and key reads.
 func TestExpositionGolden(t *testing.T) {
 	var buf bytes.Buffer
 	if err := (Snapshot{}).WritePrometheus(&buf); err != nil {
@@ -39,6 +65,19 @@ func TestExpositionGolden(t *testing.T) {
 		}
 		fmt.Fprintf(&got, "json %s\n", key)
 	}
+
+	s := sentinelSnapshot(t)
+	got.WriteString("-- sentinel prometheus --\n")
+	if err := s.WritePrometheus(&got); err != nil {
+		t.Fatal(err)
+	}
+	js, err := s.JSON()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got.WriteString("-- sentinel json --\n")
+	got.Write(js)
+	got.WriteByte('\n')
 
 	if *updateExposition {
 		if err := os.WriteFile(expositionGolden, []byte(got.String()), 0o644); err != nil {
