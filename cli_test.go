@@ -169,7 +169,7 @@ func TestCLITelemetry(t *testing.T) {
 	// The dump's instruction count must equal the profile's own total.
 	out := stdout.String()
 	summary := regexp.MustCompile(`instructions: (\d+)`).FindStringSubmatch(out)
-	dump := regexp.MustCompile(`instrs (\d+)`).FindStringSubmatch(out)
+	dump := regexp.MustCompile(`sigil_instructions_total (\d+)`).FindStringSubmatch(out)
 	if summary == nil || dump == nil {
 		t.Fatalf("summary/dump instruction lines not found:\n%s", out)
 	}

@@ -247,18 +247,16 @@ func RunContext(ctx context.Context, p *vm.Program, opts Options, input []byte) 
 		inner := stop
 		buf := opts.Trace
 		stop = func() error {
-			tool.sampleInto(tel)
+			s := tool.sampleInto(tel)
 			if buf != nil {
-				instrs := tel.Instrs.Load()
-				events := tel.EventsEmitted.Load()
 				buf.Sample(tracing.Sample{
 					TimeNanos:   time.Now().UnixNano(),
-					Instrs:      instrs,
-					HeapBytes:   tel.HeapBytes.Load(),
-					ShadowBytes: tel.ShadowBytesResident.Load(),
-					Events:      events,
+					Instrs:      s.Instrs,
+					HeapBytes:   s.HeapBytes,
+					ShadowBytes: s.ShadowBytesResident,
+					Events:      s.EventsEmitted,
 				})
-				tracing.Flight().Record(tracing.KindPoll, "poll", instrs, events)
+				tracing.Flight().Record(tracing.KindPoll, "poll", s.Instrs, s.EventsEmitted)
 			}
 			if inner != nil {
 				return inner()

@@ -138,6 +138,9 @@ type Tool struct {
 	// (queue depth, stalls, frames, compressed bytes), feeds them to the
 	// telemetry sampler; nil for plain sinks like trace.Buffer.
 	evStats func() trace.WriterStats
+	// sample is sampleInto's snapshot, kept here so publishing it does
+	// not allocate.
+	sample telemetry.Snapshot
 	// defined tracks which contexts have had a KindDefCtx emitted.
 	defined []bool
 

@@ -4,86 +4,96 @@ import (
 	"time"
 
 	"sigil/internal/telemetry"
+	"sigil/internal/trace"
 	"sigil/internal/tracing"
 )
 
-// sampleInto publishes the tool's live counters into m with atomic stores.
-// It is called from the machine's StopCheck poll point (every
-// vm.StopCheckInterval retired instructions) and once more after the run
-// ends, always on the run goroutine — the single-writer side of the
-// telemetry contract. Readers (heartbeat, /metrics, expvar) never touch
-// the tool; they load the atomics.
+// sampleInto fills a Snapshot from the tool's live counters, publishes it
+// into m and returns it. It is called from the machine's StopCheck poll
+// point (every vm.StopCheckInterval retired instructions) and once more
+// after the run ends, always on the run goroutine — the single-writer side
+// of the telemetry contract. Readers (heartbeat, /metrics, expvar) never
+// touch the tool; they load the atomics.
 //
 // Cost: a pass over the per-context aggregates plus ~40 atomic stores,
 // every 16K instructions — far below the per-instruction instrumentation
-// work the poll interval already amortizes.
-func (t *Tool) sampleInto(m *telemetry.Metrics) {
+// work the poll interval already amortizes. The snapshot lives in the tool
+// because Publish's argument escapes; sampling stays allocation-free.
+func (t *Tool) sampleInto(m *telemetry.Metrics) telemetry.Snapshot {
 	var c CommStats
 	for i := range t.comm {
 		c.Add(t.comm[i])
 	}
-
 	perChunk := t.shadow.bytesPerChunk()
 	shLive := uint64(len(t.shadow.chunks))
 	shPeak := uint64(t.shadow.peakLive)
-
-	m.InputUniqueBytes.Store(c.InputUnique)
-	m.InputNonUniqueBytes.Store(c.InputNonUnique)
-	m.OutputUniqueBytes.Store(c.OutputUnique)
-	m.OutputNonUniqueBytes.Store(c.OutputNonUnique)
-	m.LocalUniqueBytes.Store(c.LocalUnique)
-	m.LocalNonUniqueBytes.Store(c.LocalNonUnique)
-
 	live := t.sub.Live()
-	m.Instrs.Store(live.Instrs)
-	m.CallDepth.Store(uint64(live.CallDepth))
-	m.Contexts.Store(uint64(live.Contexts))
-	m.HeapBytes.Store(live.HeapBytes)
-	m.MemPages.Store(uint64(live.MemPages))
-	m.CacheAccesses.Store(live.Cache.Accesses)
-	m.CacheL1Misses.Store(live.Cache.L1Misses)
-	m.CacheLLMisses.Store(live.Cache.LLMisses)
-	m.CachePrefetches.Store(live.Cache.Prefetches)
-	m.Branches.Store(live.Branches)
-	m.BranchMispredicts.Store(live.Mispredicts)
 
-	m.ShadowChunksAllocated.Store(t.shadow.allocated)
-	m.ShadowChunksLive.Store(shLive)
-	m.ShadowChunksEvicted.Store(t.shadow.evicted)
-	m.ShadowChunksPeak.Store(shPeak)
-	m.ShadowBytesResident.Store(shLive * perChunk)
-	m.ShadowBytesPeak.Store(shPeak * perChunk)
-	m.ShadowCacheHits.Store(t.shadow.cacheHits)
-	m.ShadowCacheMisses.Store(t.shadow.cacheMisses)
-	m.ShadowChunksRecycled.Store(t.shadow.recycled)
-
-	m.ClassifySpans.Store(t.spans)
-	m.ClassifyRuns.Store(t.runs)
-	m.ClassifyGranules.Store(t.granules)
-
+	var spans, flightRecorded, flightOverwritten uint64
 	if b := t.opts.Trace; b != nil {
-		m.TraceSpans.Store(b.Recorder().SpanCount())
+		spans = b.Recorder().SpanCount()
 		fl := tracing.Flight()
-		m.FlightRecorded.Store(fl.Recorded())
-		m.FlightOverwritten.Store(fl.Overwritten())
+		flightRecorded, flightOverwritten = fl.Recorded(), fl.Overwritten()
+	}
+	var ws trace.WriterStats
+	if t.evStats != nil {
+		ws = t.evStats()
+	}
+	var degraded uint64
+	if ws.Degraded {
+		degraded = 1
 	}
 
-	m.EventsEmitted.Store(t.emitted)
-	if t.evStats != nil {
-		ws := t.evStats()
-		m.EventQueueDepth.Store(uint64(ws.QueueDepth))
-		m.EventEmitStalls.Store(ws.Stalls)
-		m.EventFrames.Store(ws.Frames)
-		m.EventBytesCompressed.Store(ws.CompressedBytes)
-		m.EventsDropped.Store(ws.Dropped)
-		m.EventRetries.Store(ws.Retries)
-		if ws.Degraded {
-			m.EventSinkDegraded.Store(1)
-		} else {
-			m.EventSinkDegraded.Store(0)
-		}
+	t.sample = telemetry.Snapshot{
+		Instrs:    live.Instrs,
+		CallDepth: uint64(live.CallDepth),
+		Contexts:  uint64(live.Contexts),
+		HeapBytes: live.HeapBytes,
+		MemPages:  uint64(live.MemPages),
+
+		InputUniqueBytes:     c.InputUnique,
+		InputNonUniqueBytes:  c.InputNonUnique,
+		OutputUniqueBytes:    c.OutputUnique,
+		OutputNonUniqueBytes: c.OutputNonUnique,
+		LocalUniqueBytes:     c.LocalUnique,
+		LocalNonUniqueBytes:  c.LocalNonUnique,
+
+		ShadowChunksAllocated: t.shadow.allocated,
+		ShadowChunksLive:      shLive,
+		ShadowChunksEvicted:   t.shadow.evicted,
+		ShadowChunksPeak:      shPeak,
+		ShadowBytesResident:   shLive * perChunk,
+		ShadowBytesPeak:       shPeak * perChunk,
+		ShadowCacheHits:       t.shadow.cacheHits,
+		ShadowCacheMisses:     t.shadow.cacheMisses,
+		ShadowChunksRecycled:  t.shadow.recycled,
+
+		ClassifySpans:    t.spans,
+		ClassifyRuns:     t.runs,
+		ClassifyGranules: t.granules,
+
+		EventsEmitted:        t.emitted,
+		EventQueueDepth:      uint64(ws.QueueDepth),
+		EventEmitStalls:      ws.Stalls,
+		EventFrames:          ws.Frames,
+		EventBytesCompressed: ws.CompressedBytes,
+		EventsDropped:        ws.Dropped,
+		EventRetries:         ws.Retries,
+		EventSinkDegraded:    degraded,
+
+		CacheAccesses:     live.Cache.Accesses,
+		CacheL1Misses:     live.Cache.L1Misses,
+		CacheLLMisses:     live.Cache.LLMisses,
+		CachePrefetches:   live.Cache.Prefetches,
+		Branches:          live.Branches,
+		BranchMispredicts: live.Mispredicts,
+
+		TraceSpans:        spans,
+		FlightRecorded:    flightRecorded,
+		FlightOverwritten: flightOverwritten,
 	}
-	m.Samples.Add(1)
+	m.Publish(&t.sample)
+	return t.sample
 }
 
 // finalSnapshot takes the end-of-run sample and freezes it for the Result.

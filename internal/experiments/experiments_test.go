@@ -18,8 +18,10 @@ var (
 
 func suite() *Suite {
 	testSuiteOnce.Do(func() {
+		// Timings keep the default median-of-3, the estimator
+		// cmd/experiments reports, so the figure tests check the numbers
+		// users see.
 		testSuite = NewSuite()
-		testSuite.TimingReps = 1
 		testSuite.Workers = 4
 		// Generate the shared profile/trace matrix through the worker pool
 		// (the figure tests would build the same matrix lazily one run at a

@@ -1,9 +1,8 @@
 // Package lint is sigil's project-specific analyzer suite. Each analyzer
 // encodes an invariant a past PR fixed the hard way — panics that destroyed
 // salvageable runs, atomics read non-atomically, sink errors silently
-// dropped, telemetry counters that drifted out of the exposition, map
-// iteration leaking nondeterminism into reports — so the next regression is
-// a build failure instead of a debugging session.
+// dropped, map iteration leaking nondeterminism into reports — so the next
+// regression is a build failure instead of a debugging session.
 //
 // A finding can be suppressed where the violation is the documented design
 // (e.g. a recovery boundary that re-panics) by annotating the offending
@@ -31,7 +30,6 @@ var All = []*analysis.Analyzer{
 	Panicfree,
 	Atomicfield,
 	Sinkerr,
-	Exposition,
 	Detorder,
 	Hotalloc,
 	Goleak,

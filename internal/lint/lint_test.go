@@ -25,11 +25,6 @@ func TestSinkerr(t *testing.T) {
 		"sinkerr/internal/faultinject", "sinkerr/cmd/tool")
 }
 
-func TestExposition(t *testing.T) {
-	analysistest.Run(t, "testdata", lint.Exposition,
-		"exposition/internal/telemetry", "exposition/clean/internal/telemetry")
-}
-
 func TestDetorder(t *testing.T) {
 	analysistest.Run(t, "testdata", lint.Detorder,
 		"detorder/internal/report", "detorder/other")

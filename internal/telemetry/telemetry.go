@@ -16,186 +16,74 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
 	"strings"
 	"sync/atomic"
 	"time"
 )
 
-// Metrics is the shared live-counter block for one profiling process. All
-// fields are owned by the sampler (the run goroutine); readers must go
-// through Snapshot. The zero value is ready to use.
+// Metrics is the shared live-counter block for one profiling process. The
+// run counters are owned by the sampler (the run goroutine), which stores
+// them through Publish; readers must go through Snapshot. The zero value is
+// ready to use.
 type Metrics struct {
-	// Run framing, stored by BeginRun.
+	// Run framing, stored by BeginRun. BeginRun zeroes only the run
+	// counters in c, never these or Samples.
 	RunEpoch        atomic.Uint64 // runs begun in this process
 	RunStartNanos   atomic.Int64  // wall-clock start of the current run
 	BudgetInstrs    atomic.Uint64 // retired-instruction budget (0 = unlimited)
 	BudgetWallNanos atomic.Int64  // wall-clock budget (0 = unlimited)
 
-	// Interpreter progress.
-	Instrs    atomic.Uint64 // instructions retired
-	CallDepth atomic.Uint64 // live call-stack depth
-	Contexts  atomic.Uint64 // calling contexts materialized
-	HeapBytes atomic.Uint64 // bytes bump-allocated by the program
-	MemPages  atomic.Uint64 // program memory pages materialized
-
-	// Communication classification (the paper's two axes).
-	InputUniqueBytes     atomic.Uint64
-	InputNonUniqueBytes  atomic.Uint64
-	OutputUniqueBytes    atomic.Uint64
-	OutputNonUniqueBytes atomic.Uint64
-	LocalUniqueBytes     atomic.Uint64
-	LocalNonUniqueBytes  atomic.Uint64
-
-	// Shadow memory footprint.
-	ShadowChunksAllocated atomic.Uint64
-	ShadowChunksLive      atomic.Uint64
-	ShadowChunksEvicted   atomic.Uint64
-	ShadowChunksPeak      atomic.Uint64
-	ShadowBytesResident   atomic.Uint64
-	ShadowBytesPeak       atomic.Uint64
-
-	// Shadow lookup machinery: direct-mapped chunk-cache effectiveness and
-	// buffer recycling under the FIFO limit.
-	ShadowCacheHits      atomic.Uint64
-	ShadowCacheMisses    atomic.Uint64
-	ShadowChunksRecycled atomic.Uint64
-
-	// Batched classifier amortization: per-chunk spans classified, the
-	// state-uniform runs within them, and the granules those runs covered
-	// (granules/runs is the average batching factor).
-	ClassifySpans    atomic.Uint64
-	ClassifyRuns     atomic.Uint64
-	ClassifyGranules atomic.Uint64
-
-	// Event-file emission. EventsEmitted counts records accepted by the
-	// sink; the rest mirror the async v3 writer's pipeline: batches queued
-	// for the background encoder, Emit hand-offs that blocked on it, frames
-	// written, and their on-wire (compressed) size.
-	EventsEmitted        atomic.Uint64
-	EventQueueDepth      atomic.Uint64
-	EventEmitStalls      atomic.Uint64
-	EventFrames          atomic.Uint64
-	EventBytesCompressed atomic.Uint64
-
-	// Event-sink failure handling: events the writer discarded instead of
-	// persisting (exact loss), sink writes the retry layer repeated, and
-	// whether a degraded-mode writer has started shedding (0/1).
-	EventsDropped     atomic.Uint64
-	EventRetries      atomic.Uint64
-	EventSinkDegraded atomic.Uint64
-
-	// Substrate simulation.
-	CacheAccesses     atomic.Uint64
-	CacheL1Misses     atomic.Uint64
-	CacheLLMisses     atomic.Uint64
-	CachePrefetches   atomic.Uint64
-	Branches          atomic.Uint64
-	BranchMispredicts atomic.Uint64
-
-	// Run tracing: completed spans recorded by the tracing recorder, and
-	// the flight-recorder ring's recorded/overwritten totals. Stored by the
-	// poll-point sampler whenever a tracer is attached to the run.
-	TraceSpans        atomic.Uint64
-	FlightRecorded    atomic.Uint64
-	FlightOverwritten atomic.Uint64
-
-	// Samples counts sampler invocations (one per poll point).
+	// Samples counts sampler invocations (one per Publish).
 	Samples atomic.Uint64
+
+	// c holds the run counters, indexed like the counters table.
+	c [len(counters)]atomic.Uint64
 }
 
-// BeginRun frames a new profiling run: progress counters reset and the
+// BeginRun frames a new profiling run: the run counters reset and the
 // run's budgets are published so heartbeats can report remaining headroom.
 func (m *Metrics) BeginRun(start time.Time, budgetInstrs uint64, budgetWall time.Duration) {
 	m.RunEpoch.Add(1)
 	m.RunStartNanos.Store(start.UnixNano())
 	m.BudgetInstrs.Store(budgetInstrs)
 	m.BudgetWallNanos.Store(int64(budgetWall))
-
-	for _, c := range []*atomic.Uint64{
-		&m.Instrs, &m.CallDepth, &m.Contexts, &m.HeapBytes, &m.MemPages,
-		&m.InputUniqueBytes, &m.InputNonUniqueBytes,
-		&m.OutputUniqueBytes, &m.OutputNonUniqueBytes,
-		&m.LocalUniqueBytes, &m.LocalNonUniqueBytes,
-		&m.ShadowChunksAllocated, &m.ShadowChunksLive, &m.ShadowChunksEvicted,
-		&m.ShadowChunksPeak, &m.ShadowBytesResident, &m.ShadowBytesPeak,
-		&m.ShadowCacheHits, &m.ShadowCacheMisses, &m.ShadowChunksRecycled,
-		&m.ClassifySpans, &m.ClassifyRuns, &m.ClassifyGranules,
-		&m.EventsEmitted, &m.EventQueueDepth, &m.EventEmitStalls,
-		&m.EventFrames, &m.EventBytesCompressed,
-		&m.EventsDropped, &m.EventRetries, &m.EventSinkDegraded,
-		&m.CacheAccesses, &m.CacheL1Misses, &m.CacheLLMisses, &m.CachePrefetches,
-		&m.Branches, &m.BranchMispredicts,
-		&m.TraceSpans, &m.FlightRecorded, &m.FlightOverwritten,
-	} {
-		c.Store(0)
+	for i := range counters {
+		m.c[i].Store(0)
 	}
+}
+
+// Publish stores every run counter from s and counts one sample. The
+// framing fields of s (epoch, start, budgets, samples, wall) are ignored.
+func (m *Metrics) Publish(s *Snapshot) {
+	for i := range counters {
+		m.c[i].Store(*counters[i].field(s))
+	}
+	m.Samples.Add(1)
 }
 
 // Snapshot returns a point-in-time copy of every counter. Individual loads
 // are atomic; the snapshot as a whole is only as consistent as a running
 // sampler allows, which is exactly what a progress view needs.
 func (m *Metrics) Snapshot() Snapshot {
-	return Snapshot{
+	s := Snapshot{
 		RunEpoch:        m.RunEpoch.Load(),
 		RunStartNanos:   m.RunStartNanos.Load(),
 		BudgetInstrs:    m.BudgetInstrs.Load(),
 		BudgetWallNanos: m.BudgetWallNanos.Load(),
-
-		Instrs:    m.Instrs.Load(),
-		CallDepth: m.CallDepth.Load(),
-		Contexts:  m.Contexts.Load(),
-		HeapBytes: m.HeapBytes.Load(),
-		MemPages:  m.MemPages.Load(),
-
-		InputUniqueBytes:     m.InputUniqueBytes.Load(),
-		InputNonUniqueBytes:  m.InputNonUniqueBytes.Load(),
-		OutputUniqueBytes:    m.OutputUniqueBytes.Load(),
-		OutputNonUniqueBytes: m.OutputNonUniqueBytes.Load(),
-		LocalUniqueBytes:     m.LocalUniqueBytes.Load(),
-		LocalNonUniqueBytes:  m.LocalNonUniqueBytes.Load(),
-
-		ShadowChunksAllocated: m.ShadowChunksAllocated.Load(),
-		ShadowChunksLive:      m.ShadowChunksLive.Load(),
-		ShadowChunksEvicted:   m.ShadowChunksEvicted.Load(),
-		ShadowChunksPeak:      m.ShadowChunksPeak.Load(),
-		ShadowBytesResident:   m.ShadowBytesResident.Load(),
-		ShadowBytesPeak:       m.ShadowBytesPeak.Load(),
-
-		ShadowCacheHits:      m.ShadowCacheHits.Load(),
-		ShadowCacheMisses:    m.ShadowCacheMisses.Load(),
-		ShadowChunksRecycled: m.ShadowChunksRecycled.Load(),
-
-		ClassifySpans:    m.ClassifySpans.Load(),
-		ClassifyRuns:     m.ClassifyRuns.Load(),
-		ClassifyGranules: m.ClassifyGranules.Load(),
-
-		EventsEmitted:        m.EventsEmitted.Load(),
-		EventQueueDepth:      m.EventQueueDepth.Load(),
-		EventEmitStalls:      m.EventEmitStalls.Load(),
-		EventFrames:          m.EventFrames.Load(),
-		EventBytesCompressed: m.EventBytesCompressed.Load(),
-		EventsDropped:        m.EventsDropped.Load(),
-		EventRetries:         m.EventRetries.Load(),
-		EventSinkDegraded:    m.EventSinkDegraded.Load(),
-
-		CacheAccesses:     m.CacheAccesses.Load(),
-		CacheL1Misses:     m.CacheL1Misses.Load(),
-		CacheLLMisses:     m.CacheLLMisses.Load(),
-		CachePrefetches:   m.CachePrefetches.Load(),
-		Branches:          m.Branches.Load(),
-		BranchMispredicts: m.BranchMispredicts.Load(),
-
-		TraceSpans:        m.TraceSpans.Load(),
-		FlightRecorded:    m.FlightRecorded.Load(),
-		FlightOverwritten: m.FlightOverwritten.Load(),
-
-		Samples: m.Samples.Load(),
+		Samples:         m.Samples.Load(),
 	}
+	for i := range counters {
+		*counters[i].field(&s) = m.c[i].Load()
+	}
+	return s
 }
 
 // Snapshot is one frozen view of the counters, the form that travels: it
 // hangs off core.Result, renders as human text, JSON, and Prometheus text
-// format, and backs the expvar export.
+// format, and backs the expvar export. Every field except the run framing
+// (RunEpoch, RunStartNanos, BudgetInstrs, BudgetWallNanos, Samples and
+// WallNanos) is a run counter with one row in the counters table.
 type Snapshot struct {
 	RunEpoch        uint64 `json:"run_epoch"`
 	RunStartNanos   int64  `json:"run_start_nanos"`
@@ -277,40 +165,112 @@ func (s Snapshot) InstrsPerSec(now time.Time) float64 {
 	return float64(s.Instrs) / (float64(elapsed) / float64(time.Second))
 }
 
+// counter declares one run counter: its Prometheus series, the Text() line
+// it prints on, and the Snapshot field holding its value. Adding a counter
+// is one Snapshot field plus one row in counters.
+type counter struct {
+	name  string // Prometheus series name
+	kind  string // "counter" or "gauge"
+	help  string
+	group string // Text() line; rows of one group are contiguous
+	field func(*Snapshot) *uint64
+}
+
+// counters is the run-counter table, in exposition order. Metrics, Publish,
+// Snapshot, Text and WritePrometheus all iterate it.
+var counters = [...]counter{
+	// Interpreter progress.
+	{"sigil_instructions_total", "counter", "Instructions retired by the current run", "progress", func(s *Snapshot) *uint64 { return &s.Instrs }},
+	{"sigil_contexts", "gauge", "Calling contexts materialized", "progress", func(s *Snapshot) *uint64 { return &s.Contexts }},
+	{"sigil_call_depth", "gauge", "Live call-stack depth", "progress", func(s *Snapshot) *uint64 { return &s.CallDepth }},
+	{"sigil_heap_bytes", "gauge", "Program heap bytes bump-allocated", "progress", func(s *Snapshot) *uint64 { return &s.HeapBytes }},
+	{"sigil_mem_pages", "gauge", "Program memory pages materialized", "progress", func(s *Snapshot) *uint64 { return &s.MemPages }},
+
+	// Communication classification (the paper's two axes).
+	{"sigil_comm_input_unique_bytes_total", "counter", "Unique bytes read from other producers", "comm", func(s *Snapshot) *uint64 { return &s.InputUniqueBytes }},
+	{"sigil_comm_input_nonunique_bytes_total", "counter", "Repeat bytes read from other producers", "comm", func(s *Snapshot) *uint64 { return &s.InputNonUniqueBytes }},
+	{"sigil_comm_output_unique_bytes_total", "counter", "Unique bytes consumed from this producer", "comm", func(s *Snapshot) *uint64 { return &s.OutputUniqueBytes }},
+	{"sigil_comm_output_nonunique_bytes_total", "counter", "Repeat bytes consumed from this producer", "comm", func(s *Snapshot) *uint64 { return &s.OutputNonUniqueBytes }},
+	{"sigil_comm_local_unique_bytes_total", "counter", "Unique bytes read by their own producer", "comm", func(s *Snapshot) *uint64 { return &s.LocalUniqueBytes }},
+	{"sigil_comm_local_nonunique_bytes_total", "counter", "Repeat bytes read by their own producer", "comm", func(s *Snapshot) *uint64 { return &s.LocalNonUniqueBytes }},
+
+	// Shadow memory footprint.
+	{"sigil_shadow_chunks_allocated_total", "counter", "Shadow chunks ever materialized", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowChunksAllocated }},
+	{"sigil_shadow_chunks_live", "gauge", "Shadow chunks currently resident", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowChunksLive }},
+	{"sigil_shadow_chunks_evicted_total", "counter", "Shadow chunks dropped by the FIFO limit", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowChunksEvicted }},
+	{"sigil_shadow_chunks_peak", "gauge", "Peak shadow chunks resident", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowChunksPeak }},
+	{"sigil_shadow_bytes_resident", "gauge", "Shadow memory bytes currently resident", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowBytesResident }},
+	{"sigil_shadow_bytes_peak", "gauge", "Peak shadow memory bytes", "shadow", func(s *Snapshot) *uint64 { return &s.ShadowBytesPeak }},
+
+	// Shadow lookup machinery: direct-mapped chunk-cache effectiveness and
+	// buffer recycling under the FIFO limit.
+	{"sigil_shadow_cache_hits_total", "counter", "Chunk lookups served by the direct-mapped cache", "shadow cache", func(s *Snapshot) *uint64 { return &s.ShadowCacheHits }},
+	{"sigil_shadow_cache_misses_total", "counter", "Chunk lookups that fell through to the map", "shadow cache", func(s *Snapshot) *uint64 { return &s.ShadowCacheMisses }},
+	{"sigil_shadow_chunks_recycled_total", "counter", "Chunk materializations that reused an evicted buffer", "shadow cache", func(s *Snapshot) *uint64 { return &s.ShadowChunksRecycled }},
+
+	// Batched classifier amortization: per-chunk spans classified, the
+	// state-uniform runs within them, and the granules those runs covered
+	// (granules/runs is the average batching factor).
+	{"sigil_classify_spans_total", "counter", "Per-chunk spans classified by the batched path", "classify", func(s *Snapshot) *uint64 { return &s.ClassifySpans }},
+	{"sigil_classify_runs_total", "counter", "State-uniform runs classified by the batched path", "classify", func(s *Snapshot) *uint64 { return &s.ClassifyRuns }},
+	{"sigil_classify_granules_total", "counter", "Granules covered by batched classification runs", "classify", func(s *Snapshot) *uint64 { return &s.ClassifyGranules }},
+
+	// Event-file emission. Events emitted counts records accepted by the
+	// sink; the rest mirror the async v3 writer's pipeline: batches queued
+	// for the background encoder, Emit hand-offs that blocked on it, frames
+	// written, and their on-wire (compressed) size.
+	{"sigil_events_emitted_total", "counter", "Event-file records emitted", "events", func(s *Snapshot) *uint64 { return &s.EventsEmitted }},
+	{"sigil_event_queue_depth", "gauge", "Event batches queued for the background encoder", "events", func(s *Snapshot) *uint64 { return &s.EventQueueDepth }},
+	{"sigil_event_emit_stalls_total", "counter", "Event emissions that blocked on the encoder", "events", func(s *Snapshot) *uint64 { return &s.EventEmitStalls }},
+	{"sigil_event_frames_total", "counter", "Event-file frames written", "events", func(s *Snapshot) *uint64 { return &s.EventFrames }},
+	{"sigil_event_bytes_compressed_total", "counter", "Event-file bytes on the wire after compression", "events", func(s *Snapshot) *uint64 { return &s.EventBytesCompressed }},
+
+	// Event-sink failure handling: events the writer discarded instead of
+	// persisting (exact loss), sink writes the retry layer repeated, and
+	// whether a degraded-mode writer has started shedding (0/1).
+	{"sigil_events_dropped_total", "counter", "Event-file records discarded by the degraded sink (exact loss)", "sink", func(s *Snapshot) *uint64 { return &s.EventsDropped }},
+	{"sigil_event_retries_total", "counter", "Event-sink writes repeated by the retry layer", "sink", func(s *Snapshot) *uint64 { return &s.EventRetries }},
+	{"sigil_event_sink_degraded", "gauge", "Whether the event sink has started shedding events (0/1)", "sink", func(s *Snapshot) *uint64 { return &s.EventSinkDegraded }},
+
+	// Substrate simulation.
+	{"sigil_cache_accesses_total", "counter", "Simulated cache accesses", "sim", func(s *Snapshot) *uint64 { return &s.CacheAccesses }},
+	{"sigil_cache_l1_misses_total", "counter", "Simulated L1 misses", "sim", func(s *Snapshot) *uint64 { return &s.CacheL1Misses }},
+	{"sigil_cache_ll_misses_total", "counter", "Simulated last-level misses", "sim", func(s *Snapshot) *uint64 { return &s.CacheLLMisses }},
+	{"sigil_cache_prefetches_total", "counter", "Simulated prefetches issued", "sim", func(s *Snapshot) *uint64 { return &s.CachePrefetches }},
+	{"sigil_branches_total", "counter", "Simulated conditional branches", "sim", func(s *Snapshot) *uint64 { return &s.Branches }},
+	{"sigil_branch_mispredicts_total", "counter", "Simulated branch mispredictions", "sim", func(s *Snapshot) *uint64 { return &s.BranchMispredicts }},
+
+	// Run tracing: completed spans recorded by the tracing recorder, and
+	// the flight-recorder ring's recorded/overwritten totals.
+	{"sigil_trace_spans_total", "counter", "Completed tracing spans recorded this run", "tracing", func(s *Snapshot) *uint64 { return &s.TraceSpans }},
+	{"sigil_flight_events_total", "counter", "Events recorded into the flight-recorder ring", "tracing", func(s *Snapshot) *uint64 { return &s.FlightRecorded }},
+	{"sigil_flight_overwritten_total", "counter", "Flight-recorder events lost to ring wraparound", "tracing", func(s *Snapshot) *uint64 { return &s.FlightOverwritten }},
+}
+
 // Text renders the snapshot as a human-readable block, the form the CLI
-// tools print behind -telemetry-dump. Every Snapshot field appears with
-// its raw value (a reconciliation test pins text ≡ Snapshot fields); the
-// derived MiB and duration forms are decoration on top, never replacements.
+// tools print behind -telemetry-dump: one line per counter group, each
+// counter as its Prometheus series name and raw value, then the run
+// framing. Every Snapshot field appears with its raw value (a
+// reconciliation test pins text ≡ Snapshot fields); the derived MiB and
+// duration forms are decoration on top, never replacements.
 func (s Snapshot) Text() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "instrs %d  contexts %d  depth %d  samples %d\n",
-		s.Instrs, s.Contexts, s.CallDepth, s.Samples)
-	fmt.Fprintf(&sb, "run: epoch %d  start_nanos %d  budget_instrs %d  budget_wall_nanos %d\n",
-		s.RunEpoch, s.RunStartNanos, s.BudgetInstrs, s.BudgetWallNanos)
-	fmt.Fprintf(&sb, "comm bytes: in %d+%d  out %d+%d  local %d+%d (unique+repeat)\n",
-		s.InputUniqueBytes, s.InputNonUniqueBytes,
-		s.OutputUniqueBytes, s.OutputNonUniqueBytes,
-		s.LocalUniqueBytes, s.LocalNonUniqueBytes)
-	fmt.Fprintf(&sb, "shadow: %d chunks live (allocated %d, peak %d, evicted %d, recycled %d)\n",
-		s.ShadowChunksLive, s.ShadowChunksAllocated, s.ShadowChunksPeak,
-		s.ShadowChunksEvicted, s.ShadowChunksRecycled)
-	fmt.Fprintf(&sb, "shadow bytes: %d resident (%.1f MiB), %d peak; cache %d hits, %d misses\n",
-		s.ShadowBytesResident, float64(s.ShadowBytesResident)/(1<<20),
-		s.ShadowBytesPeak, s.ShadowCacheHits, s.ShadowCacheMisses)
-	fmt.Fprintf(&sb, "classify: %d spans, %d runs, %d granules\n",
-		s.ClassifySpans, s.ClassifyRuns, s.ClassifyGranules)
-	fmt.Fprintf(&sb, "sim: %d accesses, %d L1 misses, %d LL misses, %d prefetches, %d/%d branches mispredicted\n",
-		s.CacheAccesses, s.CacheL1Misses, s.CacheLLMisses, s.CachePrefetches,
-		s.BranchMispredicts, s.Branches)
-	fmt.Fprintf(&sb, "events emitted: %d (%d frames, %d bytes compressed, %d stalls, queue depth %d)\n",
-		s.EventsEmitted, s.EventFrames, s.EventBytesCompressed,
-		s.EventEmitStalls, s.EventQueueDepth)
-	fmt.Fprintf(&sb, "sink: %d dropped, %d retries, degraded=%d\n",
-		s.EventsDropped, s.EventRetries, s.EventSinkDegraded)
-	fmt.Fprintf(&sb, "tracing: %d spans, flight %d recorded / %d overwritten\n",
-		s.TraceSpans, s.FlightRecorded, s.FlightOverwritten)
-	fmt.Fprintf(&sb, "heap %d bytes (%.1f MiB), %d pages\n",
-		s.HeapBytes, float64(s.HeapBytes)/(1<<20), s.MemPages)
+	for i := range counters {
+		c := &counters[i]
+		if i == 0 || c.group != counters[i-1].group {
+			if i > 0 {
+				sb.WriteByte('\n')
+			}
+			sb.WriteString(c.group + ":")
+		}
+		v := *c.field(&s)
+		fmt.Fprintf(&sb, "  %s %d", c.name, v)
+		if c.kind == "gauge" && strings.Contains(c.name, "_bytes") {
+			fmt.Fprintf(&sb, " (%.1f MiB)", float64(v)/(1<<20))
+		}
+	}
+	fmt.Fprintf(&sb, "\nrun:  sigil_run_epoch %d  sigil_samples_total %d  sigil_budget_instructions %d  run_start_nanos %d  budget_wall_nanos %d\n",
+		s.RunEpoch, s.Samples, s.BudgetInstrs, s.RunStartNanos, s.BudgetWallNanos)
 	fmt.Fprintf(&sb, "wall_nanos %d", s.WallNanos)
 	if s.WallNanos > 0 {
 		fmt.Fprintf(&sb, " (%s, %.0f instrs/sec)",
@@ -323,77 +283,34 @@ func (s Snapshot) Text() string {
 // JSON renders the snapshot as a single JSON object.
 func (s Snapshot) JSON() ([]byte, error) { return json.Marshal(s) }
 
-// promMetric is one exported series: Prometheus text-format metadata plus
-// the value extractor.
-type promMetric struct {
-	name  string
-	kind  string // "counter" or "gauge"
-	help  string
-	value func(Snapshot) uint64
-}
-
-var promMetrics = []promMetric{
-	{"sigil_instructions_total", "counter", "Instructions retired by the current run", func(s Snapshot) uint64 { return s.Instrs }},
-	{"sigil_contexts", "gauge", "Calling contexts materialized", func(s Snapshot) uint64 { return s.Contexts }},
-	{"sigil_call_depth", "gauge", "Live call-stack depth", func(s Snapshot) uint64 { return s.CallDepth }},
-	{"sigil_heap_bytes", "gauge", "Program heap bytes bump-allocated", func(s Snapshot) uint64 { return s.HeapBytes }},
-	{"sigil_mem_pages", "gauge", "Program memory pages materialized", func(s Snapshot) uint64 { return s.MemPages }},
-	{"sigil_comm_input_unique_bytes_total", "counter", "Unique bytes read from other producers", func(s Snapshot) uint64 { return s.InputUniqueBytes }},
-	{"sigil_comm_input_nonunique_bytes_total", "counter", "Repeat bytes read from other producers", func(s Snapshot) uint64 { return s.InputNonUniqueBytes }},
-	{"sigil_comm_output_unique_bytes_total", "counter", "Unique bytes consumed from this producer", func(s Snapshot) uint64 { return s.OutputUniqueBytes }},
-	{"sigil_comm_output_nonunique_bytes_total", "counter", "Repeat bytes consumed from this producer", func(s Snapshot) uint64 { return s.OutputNonUniqueBytes }},
-	{"sigil_comm_local_unique_bytes_total", "counter", "Unique bytes read by their own producer", func(s Snapshot) uint64 { return s.LocalUniqueBytes }},
-	{"sigil_comm_local_nonunique_bytes_total", "counter", "Repeat bytes read by their own producer", func(s Snapshot) uint64 { return s.LocalNonUniqueBytes }},
-	{"sigil_shadow_chunks_allocated_total", "counter", "Shadow chunks ever materialized", func(s Snapshot) uint64 { return s.ShadowChunksAllocated }},
-	{"sigil_shadow_chunks_live", "gauge", "Shadow chunks currently resident", func(s Snapshot) uint64 { return s.ShadowChunksLive }},
-	{"sigil_shadow_chunks_evicted_total", "counter", "Shadow chunks dropped by the FIFO limit", func(s Snapshot) uint64 { return s.ShadowChunksEvicted }},
-	{"sigil_shadow_chunks_peak", "gauge", "Peak shadow chunks resident", func(s Snapshot) uint64 { return s.ShadowChunksPeak }},
-	{"sigil_shadow_bytes_resident", "gauge", "Shadow memory bytes currently resident", func(s Snapshot) uint64 { return s.ShadowBytesResident }},
-	{"sigil_shadow_bytes_peak", "gauge", "Peak shadow memory bytes", func(s Snapshot) uint64 { return s.ShadowBytesPeak }},
-	{"sigil_shadow_cache_hits_total", "counter", "Chunk lookups served by the direct-mapped cache", func(s Snapshot) uint64 { return s.ShadowCacheHits }},
-	{"sigil_shadow_cache_misses_total", "counter", "Chunk lookups that fell through to the map", func(s Snapshot) uint64 { return s.ShadowCacheMisses }},
-	{"sigil_shadow_chunks_recycled_total", "counter", "Chunk materializations that reused an evicted buffer", func(s Snapshot) uint64 { return s.ShadowChunksRecycled }},
-	{"sigil_classify_spans_total", "counter", "Per-chunk spans classified by the batched path", func(s Snapshot) uint64 { return s.ClassifySpans }},
-	{"sigil_classify_runs_total", "counter", "State-uniform runs classified by the batched path", func(s Snapshot) uint64 { return s.ClassifyRuns }},
-	{"sigil_classify_granules_total", "counter", "Granules covered by batched classification runs", func(s Snapshot) uint64 { return s.ClassifyGranules }},
-	{"sigil_events_emitted_total", "counter", "Event-file records emitted", func(s Snapshot) uint64 { return s.EventsEmitted }},
-	{"sigil_event_queue_depth", "gauge", "Event batches queued for the background encoder", func(s Snapshot) uint64 { return s.EventQueueDepth }},
-	{"sigil_event_emit_stalls_total", "counter", "Event emissions that blocked on the encoder", func(s Snapshot) uint64 { return s.EventEmitStalls }},
-	{"sigil_event_frames_total", "counter", "Event-file frames written", func(s Snapshot) uint64 { return s.EventFrames }},
-	{"sigil_event_bytes_compressed_total", "counter", "Event-file bytes on the wire after compression", func(s Snapshot) uint64 { return s.EventBytesCompressed }},
-	{"sigil_events_dropped_total", "counter", "Event-file records discarded by the degraded sink (exact loss)", func(s Snapshot) uint64 { return s.EventsDropped }},
-	{"sigil_event_retries_total", "counter", "Event-sink writes repeated by the retry layer", func(s Snapshot) uint64 { return s.EventRetries }},
-	{"sigil_event_sink_degraded", "gauge", "Whether the event sink has started shedding events (0/1)", func(s Snapshot) uint64 { return s.EventSinkDegraded }},
-	{"sigil_cache_accesses_total", "counter", "Simulated cache accesses", func(s Snapshot) uint64 { return s.CacheAccesses }},
-	{"sigil_cache_l1_misses_total", "counter", "Simulated L1 misses", func(s Snapshot) uint64 { return s.CacheL1Misses }},
-	{"sigil_cache_ll_misses_total", "counter", "Simulated last-level misses", func(s Snapshot) uint64 { return s.CacheLLMisses }},
-	{"sigil_cache_prefetches_total", "counter", "Simulated prefetches issued", func(s Snapshot) uint64 { return s.CachePrefetches }},
-	{"sigil_branches_total", "counter", "Simulated conditional branches", func(s Snapshot) uint64 { return s.Branches }},
-	{"sigil_branch_mispredicts_total", "counter", "Simulated branch mispredictions", func(s Snapshot) uint64 { return s.BranchMispredicts }},
-	{"sigil_trace_spans_total", "counter", "Completed tracing spans recorded this run", func(s Snapshot) uint64 { return s.TraceSpans }},
-	{"sigil_flight_events_total", "counter", "Events recorded into the flight-recorder ring", func(s Snapshot) uint64 { return s.FlightRecorded }},
-	{"sigil_flight_overwritten_total", "counter", "Flight-recorder events lost to ring wraparound", func(s Snapshot) uint64 { return s.FlightOverwritten }},
-	{"sigil_samples_total", "counter", "Telemetry sampler invocations", func(s Snapshot) uint64 { return s.Samples }},
-	{"sigil_run_epoch", "gauge", "Profiling runs begun in this process", func(s Snapshot) uint64 { return s.RunEpoch }},
-	{"sigil_budget_instructions", "gauge", "Retired-instruction budget (0 = unlimited)", func(s Snapshot) uint64 { return s.BudgetInstrs }},
-}
-
 // WritePrometheus renders the snapshot in the Prometheus text exposition
-// format (version 0.0.4), one HELP/TYPE/sample triplet per series.
+// format (version 0.0.4), one HELP/TYPE/sample triplet per series: the
+// counter table, then the run framing.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	for _, m := range promMetrics {
-		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %d\n",
-			m.name, m.help, m.name, m.kind, m.name, m.value(s)); err != nil {
+	for i := range counters {
+		c := &counters[i]
+		if err := writeSeries(w, c.name, c.kind, c.help, strconv.FormatUint(*c.field(&s), 10)); err != nil {
 			return err
 		}
 	}
-	if _, err := fmt.Fprintf(w, "# HELP sigil_run_start_seconds Wall-clock start of the current run\n"+
-		"# TYPE sigil_run_start_seconds gauge\nsigil_run_start_seconds %.3f\n",
-		float64(s.RunStartNanos)/float64(time.Second)); err != nil {
-		return err
+	seconds := func(ns int64) string {
+		return strconv.FormatFloat(float64(ns)/float64(time.Second), 'f', 3, 64)
 	}
-	_, err := fmt.Fprintf(w, "# HELP sigil_budget_wall_seconds Wall-clock budget in seconds (0 = unlimited)\n"+
-		"# TYPE sigil_budget_wall_seconds gauge\nsigil_budget_wall_seconds %.3f\n",
-		float64(s.BudgetWallNanos)/float64(time.Second))
+	for _, f := range [...]struct{ name, kind, help, value string }{
+		{"sigil_samples_total", "counter", "Telemetry sampler invocations", strconv.FormatUint(s.Samples, 10)},
+		{"sigil_run_epoch", "gauge", "Profiling runs begun in this process", strconv.FormatUint(s.RunEpoch, 10)},
+		{"sigil_budget_instructions", "gauge", "Retired-instruction budget (0 = unlimited)", strconv.FormatUint(s.BudgetInstrs, 10)},
+		{"sigil_run_start_seconds", "gauge", "Wall-clock start of the current run", seconds(s.RunStartNanos)},
+		{"sigil_budget_wall_seconds", "gauge", "Wall-clock budget in seconds (0 = unlimited)", seconds(s.BudgetWallNanos)},
+	} {
+		if err := writeSeries(w, f.name, f.kind, f.help, f.value); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+func writeSeries(w io.Writer, name, kind, help, value string) error {
+	_, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n%s %s\n", name, help, name, kind, name, value)
 	return err
 }

@@ -17,9 +17,7 @@ import (
 
 func TestBeginRunResetsProgress(t *testing.T) {
 	m := &Metrics{}
-	m.Instrs.Store(123)
-	m.ShadowChunksLive.Store(7)
-	m.EventsEmitted.Store(9)
+	m.Publish(&Snapshot{Instrs: 123, ShadowChunksLive: 7, EventsEmitted: 9})
 	start := time.Unix(1700000000, 0)
 	m.BeginRun(start, 5000, 2*time.Second)
 
@@ -68,8 +66,7 @@ func TestSnapshotHelpers(t *testing.T) {
 func TestPrometheusFormat(t *testing.T) {
 	m := &Metrics{}
 	m.BeginRun(time.Unix(42, 0), 0, 0)
-	m.Instrs.Store(16384)
-	m.ShadowBytesResident.Store(1 << 20)
+	m.Publish(&Snapshot{Instrs: 16384, ShadowBytesResident: 1 << 20})
 	m.Samples.Store(3)
 	snap := m.Snapshot()
 
@@ -130,7 +127,7 @@ func TestPrometheusFormat(t *testing.T) {
 func TestServeEndpoints(t *testing.T) {
 	m := &Metrics{}
 	m.BeginRun(time.Now(), 0, 0)
-	m.Instrs.Store(777)
+	m.Publish(&Snapshot{Instrs: 777})
 	srv, err := Serve("127.0.0.1:0", m)
 	if err != nil {
 		t.Fatal(err)
@@ -220,7 +217,7 @@ func TestServeTwice(t *testing.T) {
 	srv1.Close()
 
 	m2 := &Metrics{}
-	m2.Instrs.Store(42)
+	m2.Publish(&Snapshot{Instrs: 42})
 	srv2, err := Serve("127.0.0.1:0", m2)
 	if err != nil {
 		t.Fatal(err)
@@ -242,7 +239,7 @@ func TestHeartbeatFires(t *testing.T) {
 	log := slog.New(slog.NewJSONHandler(&buf, &slog.HandlerOptions{Level: slog.LevelInfo}))
 	m := &Metrics{}
 	m.BeginRun(time.Now(), 1000, time.Minute)
-	m.Instrs.Store(100)
+	m.Publish(&Snapshot{Instrs: 100})
 
 	h := StartHeartbeat(log, m, time.Millisecond)
 	deadline := time.Now().Add(2 * time.Second)
@@ -294,18 +291,64 @@ func TestTextCoversEverySnapshotField(t *testing.T) {
 	}
 }
 
-// TestTextIncludesSinkAndWriterCounters spot-checks the PR 4 writer and
-// PR 6 sink-failure counters by name, the regression this satellite fixed:
-// they used to be JSON/Prometheus-only (or conditional on being non-zero).
-func TestTextIncludesSinkAndWriterCounters(t *testing.T) {
+// TestCounterTableCoversSnapshot is the drift check on the counter table:
+// every Snapshot field except WallNanos surfaces in exactly one Prometheus
+// series, no two table rows read the same field, and Text() names every
+// series that carries a raw value, even on a zero snapshot.
+func TestCounterTableCoversSnapshot(t *testing.T) {
+	var probe Snapshot
+	rowOf := map[*uint64]string{}
+	for i := range counters {
+		p := counters[i].field(&probe)
+		if prev, dup := rowOf[p]; dup {
+			t.Errorf("rows %s and %s read the same Snapshot field", prev, counters[i].name)
+		}
+		rowOf[p] = counters[i].name
+	}
+
+	s := sentinelSnapshot(t)
+	var buf bytes.Buffer
+	if err := s.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	seriesWith := map[string]int{} // sample value -> series carrying it
+	for _, line := range strings.Split(strings.TrimSpace(buf.String()), "\n") {
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		name, value, _ := strings.Cut(line, " ")
+		names = append(names, name)
+		seriesWith[value]++
+	}
+	v := reflect.ValueOf(s)
+	if len(names) != v.NumField()-1 {
+		t.Errorf("%d Prometheus series for %d exported Snapshot fields", len(names), v.NumField()-1)
+	}
+	for i := range v.NumField() {
+		field := v.Type().Field(i).Name
+		if field == "WallNanos" {
+			continue
+		}
+		var want string
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Uint64:
+			want = strconv.FormatUint(f.Uint(), 10)
+		case reflect.Int64:
+			want = strconv.FormatFloat(float64(f.Int())/float64(time.Second), 'f', 3, 64)
+		}
+		if n := seriesWith[want]; n != 1 {
+			t.Errorf("Snapshot.%s surfaces in %d Prometheus series, want 1", field, n)
+		}
+	}
+
 	text := Snapshot{}.Text()
-	for _, want := range []string{
-		"dropped", "retries", "degraded=", // PR 6 sink failure handling
-		"frames", "bytes compressed", "stalls", "queue depth", // PR 4 writer
-		"tracing:", "flight", // PR 7 tracing series
-	} {
-		if !strings.Contains(text, want) {
-			t.Errorf("Text() missing %q even on a zero snapshot:\n%s", want, text)
+	for _, name := range names {
+		if strings.HasSuffix(name, "_seconds") {
+			continue // Text() shows the raw nanoseconds under the JSON key
+		}
+		if !strings.Contains(text, name+" ") {
+			t.Errorf("Text() does not name series %s on a zero snapshot:\n%s", name, text)
 		}
 	}
 }
