@@ -11,39 +11,169 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"runtime"
 
 	"sigil/internal/trace"
 )
 
+// none marks an absent node or call in the index-based chain state.
+const none = -1
+
 // node is one computation segment (a box of the paper's Figure 3). The
 // inclusive cost is the self-cost plus the maximum inclusive cost over
 // predecessors — the longest dependent chain from the program's start.
 type node struct {
 	ctx  int32
-	call uint64
+	pred int32 // predecessor on the longest incoming chain, or none
 	self uint64
 	incl uint64
-	pred *node // predecessor on the longest incoming chain
 }
 
-// callState tracks the chain bookkeeping for one function call.
+// callState tracks the chain bookkeeping for one function call. Its node
+// fields index the chain builder's node slice.
 type callState struct {
-	ctx     int32
 	callNum uint64
-	// last is the most recent closed segment node of this call; data
-	// consumers of this call's output depend on it.
-	last *node
-	// enterPred is the caller's segment node at the time of the call —
-	// the call edge source for this call's first segment.
-	enterPred *node
+	ctx     int32
+	// last is the node this call's next segment follows: its most recent
+	// closed segment or, before the first closes, the caller's segment at
+	// the time of the call (the call edge). Data consumers of this call's
+	// output depend on it too.
+	last int32
 	// open is the in-construction segment (created lazily by the first
 	// comm/ops after the previous segment closed).
-	open *node
+	open int32
 	// maxPred accumulates the best predecessor for the open segment.
-	maxPred *node
+	maxPred int32
+	// shadowed is set once a later Enter re-uses callNum; events naming
+	// that number belong to the later call from then on.
+	shadowed bool
 }
+
+// denseSlack is how far past twice the number of calls entered a call
+// number may lie and still get a slot in callTable's dense index.
+const denseSlack = 1024
+
+// callTable is the call bookkeeping both chain builders share: every
+// entered call's state in one slice, the open calls as a stack of indices
+// into it, and an index from call number to the latest call entered with
+// that number. The profiler numbers calls densely, so the index is a slice
+// of states positions; a number far beyond the calls seen so far (salvage
+// gaps, a corrupt stream) goes to a map instead, so no allocation grows
+// with the value of a call number.
+type callTable struct {
+	states []callState
+	stack  []int32
+	dense  []int32 // dense[n] = position+1 of call number n, 0 if none
+	sparse map[uint64]int32
+}
+
+func newCallTable(calls int) callTable {
+	return callTable{
+		states: make([]callState, 0, calls),
+		dense:  make([]int32, calls+1),
+	}
+}
+
+// index32 returns n as an int32 slice position, or an error once n has
+// outgrown the int32 fields that hold positions.
+func index32(n int, what string) (int32, error) {
+	if n >= math.MaxInt32 {
+		return none, fmt.Errorf("critpath: more than %d %s", math.MaxInt32-1, what)
+	}
+	return int32(n), nil
+}
+
+// enter pushes a new call. Its first segment follows the caller's last
+// node: the caller's segment closed just before this Enter (the profiler
+// emits Ops first).
+func (t *callTable) enter(ctx int32, num uint64) error {
+	i, err := index32(len(t.states), "calls")
+	if err != nil {
+		return err
+	}
+	last := int32(none)
+	if top := t.top(); top != nil {
+		last = top.last
+	}
+	if prev := t.find(num); prev != none {
+		t.states[prev].shadowed = true
+	}
+	t.states = append(t.states, callState{callNum: num, ctx: ctx, last: last, open: none, maxPred: none})
+	t.stack = append(t.stack, i)
+	if num >= uint64(len(t.dense)) && num < uint64(2*len(t.states)+denseSlack) {
+		t.growDense(int(num) + 1)
+	}
+	if num < uint64(len(t.dense)) {
+		t.dense[num] = i + 1
+		return nil
+	}
+	if t.sparse == nil {
+		t.sparse = make(map[uint64]int32)
+	}
+	t.sparse[num] = i
+	return nil
+}
+
+// growDense extends the dense index to cover numbers below n, moving the
+// sparse entries it now covers.
+func (t *callTable) growDense(n int) {
+	if n > cap(t.dense) {
+		grown := make([]int32, n, max(n, 2*cap(t.dense)))
+		copy(grown, t.dense)
+		t.dense = grown
+	} else {
+		t.dense = t.dense[:n] // never written past its length, so still zero
+	}
+	for num, i := range t.sparse {
+		if num < uint64(n) {
+			t.dense[num] = i + 1
+			delete(t.sparse, num)
+		}
+	}
+}
+
+// find returns the position of the latest call entered as num, or none.
+func (t *callTable) find(num uint64) int32 {
+	if num < uint64(len(t.dense)) {
+		return t.dense[num] - 1
+	}
+	if i, ok := t.sparse[num]; ok {
+		return i
+	}
+	return none
+}
+
+// byNumber returns the latest call entered as num, or nil.
+func (t *callTable) byNumber(num uint64) *callState {
+	if i := t.find(num); i != none {
+		return &t.states[i]
+	}
+	return nil
+}
+
+// running returns the call a Comm or Ops event naming num belongs to, or
+// nil. The profiler emits those only for the running call, so the top of
+// the stack is tried first; it answers only when no later Enter re-used
+// its number, so it always agrees with byNumber.
+func (t *callTable) running(num uint64) *callState {
+	if top := t.top(); top != nil && top.callNum == num && !top.shadowed {
+		return top
+	}
+	return t.byNumber(num)
+}
+
+// top returns the innermost open call, or nil. The pointer is valid until
+// the next enter.
+func (t *callTable) top() *callState {
+	if len(t.stack) == 0 {
+		return nil
+	}
+	return &t.states[t.stack[len(t.stack)-1]]
+}
+
+func (t *callTable) pop() { t.stack = t.stack[:len(t.stack)-1] }
 
 // Analysis is the result of processing one event stream.
 type Analysis struct {
@@ -74,39 +204,41 @@ func (a *Analysis) Parallelism() float64 {
 }
 
 // analyzer is the incremental chain-construction state machine, shared by
-// the in-memory Analyze and the streaming AnalyzeReader.
+// the in-memory Analyze and the streaming AnalyzeReader. Nodes live in one
+// slice and refer to each other by position.
 type analyzer struct {
 	a     *Analysis
-	calls map[uint64]*callState
-	stack []*callState
-	best  *node
+	calls callTable
+	nodes []node
+	best  int32
 	names map[int32]string
 }
 
-func newAnalyzer() *analyzer {
+// newAnalyzer sizes the state for the expected number of calls and closed
+// segments; both grow past it as needed.
+func newAnalyzer(calls, segments int) *analyzer {
 	return &analyzer{
 		a:     &Analysis{},
-		calls: make(map[uint64]*callState),
+		calls: newCallTable(calls),
+		nodes: make([]node, 0, segments),
+		best:  none,
 		names: make(map[int32]string),
 	}
 }
 
-func (z *analyzer) ensureOpen(cs *callState) *node {
-	if cs.open == nil {
-		cs.open = &node{ctx: cs.ctx, call: cs.callNum}
-		z.a.Segments++
+func (z *analyzer) ensureOpen(cs *callState) (int32, error) {
+	if cs.open == none {
+		n, err := index32(len(z.nodes), "segments")
+		if err != nil {
+			return none, err
+		}
+		z.nodes = append(z.nodes, node{ctx: cs.ctx, pred: none})
+		cs.open = n
 		// Sequential edge from the call's previous segment, or the
 		// call edge for the first segment.
-		switch {
-		case cs.last != nil:
-			cs.maxPred = cs.last
-		case cs.enterPred != nil:
-			cs.maxPred = cs.enterPred
-		default:
-			cs.maxPred = nil
-		}
+		cs.maxPred = cs.last
 	}
-	return cs.open
+	return cs.open, nil
 }
 
 func (z *analyzer) step(e *trace.Event) error {
@@ -115,72 +247,60 @@ func (z *analyzer) step(e *trace.Event) error {
 		z.names[e.Ctx] = e.Name
 
 	case trace.KindEnter:
-		cs := &callState{ctx: e.Ctx, callNum: e.Call}
-		if len(z.stack) > 0 {
-			parent := z.stack[len(z.stack)-1]
-			// The caller's segment closed just before this Enter
-			// (the profiler emits Ops first), so its last node is
-			// the call edge source.
-			if parent.last != nil {
-				cs.enterPred = parent.last
-			} else if parent.enterPred != nil {
-				cs.enterPred = parent.enterPred
-			}
-		}
-		z.calls[e.Call] = cs
-		z.stack = append(z.stack, cs)
+		return z.calls.enter(e.Ctx, e.Call)
 
 	case trace.KindLeave:
-		if len(z.stack) == 0 {
+		cs := z.calls.top()
+		if cs == nil {
 			return fmt.Errorf("critpath: leave of call %d with empty stack", e.Call)
 		}
-		cs := z.stack[len(z.stack)-1]
 		if cs.callNum != e.Call {
 			return fmt.Errorf("critpath: leave of call %d while call %d is open", e.Call, cs.callNum)
 		}
-		z.stack = z.stack[:len(z.stack)-1]
+		z.calls.pop()
 
 	case trace.KindComm:
-		cs := z.calls[e.Call]
+		cs := z.calls.running(e.Call)
 		if cs == nil {
 			return fmt.Errorf("critpath: comm into unknown call %d", e.Call)
 		}
-		z.ensureOpen(cs)
+		if _, err := z.ensureOpen(cs); err != nil {
+			return err
+		}
 		// Producer's latest segment; synthetic producers (@startup,
 		// @kernel) and producers with no recorded segment impose no
 		// chain dependency.
-		if src := z.calls[e.SrcCall]; src != nil && e.SrcCtx >= 0 {
-			var srcNode *node
-			if src.last != nil {
-				srcNode = src.last
-			} else if src.enterPred != nil {
-				srcNode = src.enterPred
-			}
-			if srcNode != nil && (cs.maxPred == nil || srcNode.incl > cs.maxPred.incl) {
-				cs.maxPred = srcNode
+		if e.SrcCtx >= 0 {
+			if src := z.calls.byNumber(e.SrcCall); src != nil && src.last != none {
+				if cs.maxPred == none || z.nodes[src.last].incl > z.nodes[cs.maxPred].incl {
+					cs.maxPred = src.last
+				}
 			}
 		}
 
 	case trace.KindOps:
-		cs := z.calls[e.Call]
+		cs := z.calls.running(e.Call)
 		if cs == nil {
 			return fmt.Errorf("critpath: ops for unknown call %d", e.Call)
 		}
-		n := z.ensureOpen(cs)
+		i, err := z.ensureOpen(cs)
+		if err != nil {
+			return err
+		}
+		n := &z.nodes[i]
 		n.self = e.Ops
 		z.a.SerialOps += e.Ops
 		n.pred = cs.maxPred
-		if n.pred != nil {
-			n.incl = n.pred.incl + n.self
-		} else {
-			n.incl = n.self
+		n.incl = n.self
+		if n.pred != none {
+			n.incl += z.nodes[n.pred].incl
 		}
-		if z.best == nil || n.incl > z.best.incl {
-			z.best = n
+		if z.best == none || n.incl > z.nodes[z.best].incl {
+			z.best = i
 		}
-		cs.last = n
-		cs.open = nil
-		cs.maxPred = nil
+		cs.last = i
+		cs.open = none
+		cs.maxPred = none
 
 	case trace.KindSys:
 		// Syscalls impose no chain structure beyond the comm edges
@@ -191,10 +311,11 @@ func (z *analyzer) step(e *trace.Event) error {
 
 func (z *analyzer) finish(name func(int32) string) *Analysis {
 	a := z.a
-	if z.best != nil {
-		a.CriticalOps = z.best.incl
-		for n := z.best; n != nil; n = n.pred {
-			a.ChainCtxs = append(a.ChainCtxs, n.ctx)
+	a.Segments = uint64(len(z.nodes))
+	if z.best != none {
+		a.CriticalOps = z.nodes[z.best].incl
+		for i := z.best; i != none; i = z.nodes[i].pred {
+			a.ChainCtxs = append(a.ChainCtxs, z.nodes[i].ctx)
 		}
 		// Reverse into main→leaf order and collapse repeats.
 		for i, j := 0, len(a.ChainCtxs)-1; i < j; i, j = i+1, j-1 {
@@ -217,7 +338,8 @@ func (z *analyzer) finish(name func(int32) string) *Analysis {
 // Analyze builds dependency chains from an event stream and extracts the
 // critical path.
 func Analyze(tr *trace.Trace) (*Analysis, error) {
-	z := newAnalyzer()
+	calls, segments := countCallsAndSegments(tr)
+	z := newAnalyzer(calls, segments)
 	for i := range tr.Events {
 		if err := z.step(&tr.Events[i]); err != nil {
 			return nil, err
@@ -226,11 +348,26 @@ func Analyze(tr *trace.Trace) (*Analysis, error) {
 	return z.finish(tr.CtxName), nil
 }
 
+// countCallsAndSegments counts the Enter events (one call each) and the
+// Ops events (one closed segment each) of tr, to size the chain state.
+func countCallsAndSegments(tr *trace.Trace) (calls, segments int) {
+	for i := range tr.Events {
+		switch tr.Events[i].Kind {
+		case trace.KindEnter:
+			calls++
+		case trace.KindOps:
+			segments++
+		}
+	}
+	return calls, segments
+}
+
 // AnalyzeReader runs the same analysis over an encoded event file without
-// materializing it: each event is processed as it is decoded, so traces
-// larger than memory stream through in one pass.
+// materializing it: each event is processed as it is decoded, so the trace
+// streams through in one pass and memory grows with its calls and
+// segments (a few dozen bytes each), not with its events.
 func AnalyzeReader(r io.Reader) (*Analysis, error) {
-	z := newAnalyzer()
+	z := newAnalyzer(0, 0)
 	rd := trace.NewReader(r)
 	for {
 		e, err := rd.Next()
@@ -258,12 +395,12 @@ func AnalyzeReader(r io.Reader) (*Analysis, error) {
 	}), nil
 }
 
-// AnalyzeFile loads path with the parallel frame decoder (workers <= 0
-// selects one worker per CPU) and analyzes it. The chain construction
-// itself is inherently sequential, but on framed (v3) files the decode —
-// checksum verification, decompression, varint decoding — fans out across
-// the pool, which dominates load time for large traces. The seekable file
-// also lets the reader preallocate from the footer's event count.
+// AnalyzeFile loads path with trace.ReadAllWorkers (workers <= 0 selects
+// one worker per CPU) and analyzes it. The chain construction itself is
+// inherently sequential, but on framed (v3) files the decode — checksum
+// verification, decompression, varint decoding — fans out across the
+// pool, each frame decoding in place into the one event slice the
+// footer's total sized.
 func AnalyzeFile(path string, workers int) (*Analysis, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -40,10 +40,10 @@ func AnalyzeWithComm(tr *trace.Trace, cfg CommConfig) (*Analysis, error) {
 	// Longest path over the DAG with edge weights: nodes are already in
 	// creation (topological) order.
 	incl := make([]float64, len(g.nodes))
-	pred := make([]int, len(g.nodes))
+	pred := make([]int32, len(g.nodes))
 	best := -1
 	for i, n := range g.nodes {
-		pred[i] = -1
+		pred[i] = none
 		for _, e := range n.preds {
 			w := incl[e.src] + float64(e.bytes)*cfg.OpsPerByte
 			if w > incl[i] {
@@ -59,7 +59,7 @@ func AnalyzeWithComm(tr *trace.Trace, cfg CommConfig) (*Analysis, error) {
 	if best >= 0 {
 		a.CriticalOps = uint64(incl[best])
 		var ctxs []int32
-		for i := best; i >= 0; i = pred[i] {
+		for i := int32(best); i != none; i = pred[i] {
 			ctxs = append(ctxs, g.nodes[i].ctx)
 		}
 		for i, j := 0, len(ctxs)-1; i < j; i, j = i+1, j-1 {
@@ -80,13 +80,12 @@ func AnalyzeWithComm(tr *trace.Trace, cfg CommConfig) (*Analysis, error) {
 // --- explicit DAG construction (shared by scheduling) ---
 
 type gEdge struct {
-	src   int
+	src   int32
 	bytes uint64 // 0 for sequential and call edges
 }
 
 type gNode struct {
 	ctx   int32
-	call  uint64
 	self  uint64
 	preds []gEdge
 }
@@ -98,81 +97,69 @@ type graph struct {
 
 // buildGraph replays the event stream into an explicit segment DAG with the
 // same semantics as Analyze (sequential, call and data edges; non-blocking
-// returns).
+// returns), over the same call bookkeeping.
 func buildGraph(tr *trace.Trace) (*graph, error) {
-	g := &graph{}
-	type callInfo struct {
-		ctx       int32
-		last      int // latest closed node, -1 if none
-		enterPred int
-		open      int // in-construction node, -1 if none
-	}
-	calls := make(map[uint64]*callInfo)
-	var stack []*callInfo
+	ncalls, segments := countCallsAndSegments(tr)
+	g := &graph{nodes: make([]gNode, 0, segments)}
+	calls := newCallTable(ncalls)
 
-	ensureOpen := func(ci *callInfo, call uint64) int {
-		if ci.open >= 0 {
-			return ci.open
+	ensureOpen := func(cs *callState) (int32, error) {
+		if cs.open != none {
+			return cs.open, nil
 		}
-		idx := len(g.nodes)
-		n := gNode{ctx: ci.ctx, call: call}
-		switch {
-		case ci.last >= 0:
-			n.preds = append(n.preds, gEdge{src: ci.last})
-		case ci.enterPred >= 0:
-			n.preds = append(n.preds, gEdge{src: ci.enterPred})
+		idx, err := index32(len(g.nodes), "segments")
+		if err != nil {
+			return none, err
+		}
+		n := gNode{ctx: cs.ctx}
+		if cs.last != none {
+			n.preds = append(n.preds, gEdge{src: cs.last})
 		}
 		g.nodes = append(g.nodes, n)
-		ci.open = idx
-		return idx
+		cs.open = idx
+		return idx, nil
 	}
 
 	for i := range tr.Events {
 		e := &tr.Events[i]
 		switch e.Kind {
 		case trace.KindEnter:
-			ci := &callInfo{ctx: e.Ctx, last: -1, enterPred: -1, open: -1}
-			if len(stack) > 0 {
-				parent := stack[len(stack)-1]
-				if parent.last >= 0 {
-					ci.enterPred = parent.last
-				} else if parent.enterPred >= 0 {
-					ci.enterPred = parent.enterPred
-				}
+			if err := calls.enter(e.Ctx, e.Call); err != nil {
+				return nil, err
 			}
-			calls[e.Call] = ci
-			stack = append(stack, ci)
 		case trace.KindLeave:
-			if len(stack) == 0 {
+			if calls.top() == nil {
 				return nil, fmt.Errorf("critpath: unbalanced leave of call %d", e.Call)
 			}
-			stack = stack[:len(stack)-1]
+			calls.pop()
 		case trace.KindComm:
-			ci := calls[e.Call]
-			if ci == nil {
+			cs := calls.running(e.Call)
+			if cs == nil {
 				return nil, fmt.Errorf("critpath: comm into unknown call %d", e.Call)
 			}
-			idx := ensureOpen(ci, e.Call)
-			if src := calls[e.SrcCall]; src != nil && e.SrcCtx >= 0 {
-				from := src.last
-				if from < 0 {
-					from = src.enterPred
-				}
-				if from >= 0 {
+			idx, err := ensureOpen(cs)
+			if err != nil {
+				return nil, err
+			}
+			if e.SrcCtx >= 0 {
+				if src := calls.byNumber(e.SrcCall); src != nil && src.last != none {
 					g.nodes[idx].preds = append(g.nodes[idx].preds,
-						gEdge{src: from, bytes: e.Bytes})
+						gEdge{src: src.last, bytes: e.Bytes})
 				}
 			}
 		case trace.KindOps:
-			ci := calls[e.Call]
-			if ci == nil {
+			cs := calls.running(e.Call)
+			if cs == nil {
 				return nil, fmt.Errorf("critpath: ops for unknown call %d", e.Call)
 			}
-			idx := ensureOpen(ci, e.Call)
+			idx, err := ensureOpen(cs)
+			if err != nil {
+				return nil, err
+			}
 			g.nodes[idx].self = e.Ops
 			g.serialOps += e.Ops
-			ci.last = idx
-			ci.open = -1
+			cs.last = idx
+			cs.open = none
 		}
 	}
 	return g, nil
@@ -240,7 +227,7 @@ func Schedule(tr *trace.Trace, slots int) (*ScheduleResult, error) {
 	for idx := range g.nodes {
 		n := &g.nodes[idx]
 		var readyAt uint64
-		bestSrc, bestBytes := -1, uint64(0)
+		bestSrc, bestBytes := int32(none), uint64(0)
 		for _, e := range n.preds {
 			if finish[e.src] > readyAt {
 				readyAt = finish[e.src]
@@ -253,7 +240,7 @@ func Schedule(tr *trace.Trace, slots int) (*ScheduleResult, error) {
 		// Candidate slots: the heaviest producer's slot first, then the
 		// earliest-free slot.
 		pick := 0
-		if bestSrc >= 0 {
+		if bestSrc != none {
 			pick = placed[bestSrc]
 		}
 		bestSlot, bestStart := pick, maxU64(free[pick], readyAt)

@@ -87,60 +87,75 @@ func appendPayload(dst []byte, events []Event) []byte {
 	return dst
 }
 
-// decodePayload decodes exactly count delta-encoded records from raw,
-// appending them to dst. The payload must be consumed exactly; anything
-// else is corruption.
-func decodePayload(raw []byte, count int, dst []Event) ([]Event, error) {
+// decodePayload decodes exactly len(dst) delta-encoded records from raw
+// into dst and reports how many of them are KindDefCtx records. The
+// payload must be consumed exactly; anything else is corruption.
+func decodePayload(raw []byte, dst []Event) (defs int, err error) {
 	var prevCall, prevTime uint64
 	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(raw[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: record varint cut short", ErrCorrupt)
-		}
-		pos += n
-		return v, nil
-	}
-	for i := 0; i < count; i++ {
+	for i := range dst {
 		if pos >= len(raw) {
-			return dst, fmt.Errorf("%w: frame payload holds %d of %d declared events", ErrCorrupt, i, count)
+			return defs, fmt.Errorf("%w: frame payload holds %d of %d declared events", ErrCorrupt, i, len(dst))
 		}
-		var e Event
-		e.Kind = Kind(raw[pos])
+		kind := Kind(raw[pos])
 		pos++
-		fields := [8]uint64{}
+		var fields [8]uint64
 		for f := range fields {
-			v, err := next()
-			if err != nil {
-				return dst, err
+			// Most fields are small deltas and counts: one byte each.
+			if pos < len(raw) && raw[pos] < 0x80 {
+				fields[f] = uint64(raw[pos])
+				pos++
+				continue
+			}
+			v, n := binary.Uvarint(raw[pos:])
+			if n <= 0 {
+				return defs, fmt.Errorf("%w: record varint cut short", ErrCorrupt)
 			}
 			fields[f] = v
+			pos += n
 		}
-		e.Ctx = unzigzag(fields[0])
-		e.Call = prevCall + uint64(unzigzag64(fields[1]))
-		e.SrcCtx = unzigzag(fields[2])
-		e.SrcCall = fields[3]
-		e.Bytes = fields[4]
-		e.Ops = fields[5]
-		e.Time = prevTime + uint64(unzigzag64(fields[6]))
 		nameLen := fields[7]
 		if nameLen > maxNameLen {
-			return dst, fmt.Errorf("%w: implausible name length %d", ErrCorrupt, nameLen)
+			return defs, fmt.Errorf("%w: implausible name length %d", ErrCorrupt, nameLen)
 		}
 		if uint64(len(raw)-pos) < nameLen {
-			return dst, fmt.Errorf("%w: name cut short", ErrCorrupt)
+			return defs, fmt.Errorf("%w: name cut short", ErrCorrupt)
 		}
+		var name string
 		if nameLen > 0 {
-			e.Name = string(raw[pos : pos+int(nameLen)])
+			name = string(raw[pos : pos+int(nameLen)])
 			pos += int(nameLen)
 		}
-		prevCall, prevTime = e.Call, e.Time
-		dst = append(dst, e)
+		prevCall += uint64(unzigzag64(fields[1]))
+		prevTime += uint64(unzigzag64(fields[6]))
+		dst[i] = Event{
+			Kind:    kind,
+			Ctx:     unzigzag(fields[0]),
+			Call:    prevCall,
+			SrcCtx:  unzigzag(fields[2]),
+			SrcCall: fields[3],
+			Bytes:   fields[4],
+			Ops:     fields[5],
+			Time:    prevTime,
+			Name:    name,
+		}
+		if kind == KindDefCtx {
+			defs++
+		}
 	}
 	if pos != len(raw) {
-		return dst, fmt.Errorf("%w: %d trailing payload bytes after %d events", ErrCorrupt, len(raw)-pos, count)
+		return defs, fmt.Errorf("%w: %d trailing payload bytes after %d events", ErrCorrupt, len(raw)-pos, len(dst))
 	}
-	return dst, nil
+	return defs, nil
+}
+
+// eventBuf returns buf resliced to n events, reallocating only when its
+// capacity is short; a frame decode overwrites every element.
+func eventBuf(buf []Event, n int) []Event {
+	if cap(buf) < n {
+		return make([]Event, n)
+	}
+	return buf[:n]
 }
 
 // frameEncoder turns event batches into on-wire frames, reusing its raw
@@ -299,113 +314,4 @@ func appendFooter(dst []byte, index []frameEntry, totalEvents, droppedEvents uin
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(footLen))
 	dst = append(dst, trailerMagic[:]...)
 	return dst
-}
-
-// footerInfo is a parsed footer: the frame index, the stream's total event
-// count, and (loss footers) the writer's recorded drop count, used to
-// preallocate and cross-check decodes.
-type footerInfo struct {
-	frames  []frameEntry
-	total   uint64
-	dropped uint64
-}
-
-// parseFooterBody parses the footer from the byte after the 0xF6/0xF7
-// marker through the trailing body CRC (i.e. the footer record minus its
-// marker). hasLoss selects the loss-footer layout with its trailing
-// droppedEvents field.
-func parseFooterBody(data []byte, hasLoss bool) (*footerInfo, error) {
-	pos := 0
-	next := func() (uint64, error) {
-		v, n := binary.Uvarint(data[pos:])
-		if n <= 0 {
-			return 0, fmt.Errorf("%w: footer cut short", ErrTruncated)
-		}
-		pos += n
-		return v, nil
-	}
-	n, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if n > maxFrameEvents {
-		return nil, fmt.Errorf("%w: implausible frame count %d", ErrCorrupt, n)
-	}
-	info := &footerInfo{frames: make([]frameEntry, 0, n)}
-	for i := uint64(0); i < n; i++ {
-		ev, err := next()
-		if err != nil {
-			return nil, err
-		}
-		b, err := next()
-		if err != nil {
-			return nil, err
-		}
-		info.frames = append(info.frames, frameEntry{events: ev, bytes: b})
-	}
-	if info.total, err = next(); err != nil {
-		return nil, err
-	}
-	if hasLoss {
-		if info.dropped, err = next(); err != nil {
-			return nil, err
-		}
-	}
-	bodyLen := pos
-	crc, err := next()
-	if err != nil {
-		return nil, err
-	}
-	if pos != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing footer bytes", ErrCorrupt, len(data)-pos)
-	}
-	if uint32(crc) != crc32.ChecksumIEEE(data[:bodyLen]) {
-		return nil, fmt.Errorf("%w: footer checksum mismatch", ErrCorrupt)
-	}
-	return info, nil
-}
-
-// peekFooter reads the footer of a v3 stream through its fixed trailer
-// without disturbing r's position. It returns nil (no error) when the
-// source is not a complete v3 file — callers use it only as a hint for
-// preallocation, never for integrity decisions.
-func peekFooter(r io.ReadSeeker) *footerInfo {
-	cur, err := r.Seek(0, io.SeekCurrent)
-	if err != nil {
-		return nil
-	}
-	defer r.Seek(cur, io.SeekStart)
-	end, err := r.Seek(0, io.SeekEnd)
-	if err != nil || end-cur < int64(len(magic))+1+trailerLen {
-		return nil
-	}
-	var tail [trailerLen]byte
-	if _, err := r.Seek(end-trailerLen, io.SeekStart); err != nil {
-		return nil
-	}
-	if _, err := io.ReadFull(r, tail[:]); err != nil {
-		return nil
-	}
-	if [4]byte(tail[4:8]) != trailerMagic {
-		return nil
-	}
-	footLen := int64(binary.LittleEndian.Uint32(tail[:4]))
-	if footLen < 2 || footLen > end-cur-trailerLen {
-		return nil
-	}
-	if _, err := r.Seek(end-trailerLen-footLen, io.SeekStart); err != nil {
-		return nil
-	}
-	foot := make([]byte, footLen)
-	if _, err := io.ReadFull(r, foot); err != nil {
-		return nil
-	}
-	if foot[0] != footerByte && foot[0] != footerLossByte {
-		return nil
-	}
-	info, err := parseFooterBody(foot[1:], foot[0] == footerLossByte)
-	if err != nil {
-		return nil
-	}
-	return info
 }

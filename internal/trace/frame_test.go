@@ -3,12 +3,15 @@ package trace
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
+	"unsafe"
 )
 
 // genEvents builds n synthetic events exercising every kind, with call
@@ -353,6 +356,92 @@ func TestParallelCorruptFrame(t *testing.T) {
 	for _, workers := range []int{1, 4} {
 		if _, err := ReadAllWorkers(bytes.NewReader(mut), workers); err == nil {
 			t.Errorf("workers=%d: corrupt frame accepted", workers)
+		}
+	}
+}
+
+// TestFrameErrorOutranksLaterFailures damages one mid-stream frame and then
+// breaks the stream after it: cut inside a later frame, or a later frame
+// header made implausible. Every decode width must report the damaged
+// frame, exactly as the sequential Reader meets it first.
+func TestFrameErrorOutranksLaterFailures(t *testing.T) {
+	events := genEvents(400)
+	full := encodeV3(t, events, WriterOptions{FrameEvents: 32})
+	info := peekFooter(bytes.NewReader(full))
+	if info == nil || len(info.frames) < 8 {
+		t.Fatalf("want several frames, got %+v", info)
+	}
+	starts := []int{len(magic)}
+	for _, fe := range info.frames {
+		starts = append(starts, starts[len(starts)-1]+int(fe.bytes))
+	}
+	damaged := append([]byte{}, full...)
+	damaged[starts[2]+int(info.frames[2].bytes)/2] ^= 0x10
+
+	truncated := damaged[:starts[6]+int(info.frames[6].bytes)/2]
+	badHeader := append([]byte{}, damaged...)
+	// The first header field after the marker is the event count; one
+	// past the cap is implausible.
+	hdr := appendUvarint([]byte{frameByte}, maxFrameEvents+1)
+	badHeader = append(append(append([]byte{}, badHeader[:starts[6]]...), hdr...), badHeader[starts[6]+2:]...)
+
+	for name, stream := range map[string][]byte{"truncated": truncated, "bad header": badHeader} {
+		rd := NewReader(bytes.NewReader(stream))
+		var seqErr error
+		for seqErr == nil {
+			_, seqErr = rd.Next()
+		}
+		if !errors.Is(seqErr, ErrCorrupt) || errors.Is(seqErr, ErrTruncated) {
+			t.Fatalf("%s: sequential reader says %v, want the damaged frame's corruption", name, seqErr)
+		}
+		for _, workers := range []int{1, 2, 4} {
+			_, err := ReadAllWorkers(bytes.NewReader(stream), workers)
+			if err == nil || err.Error() != seqErr.Error() {
+				t.Errorf("%s: workers=%d: got %v, want %v", name, workers, err, seqErr)
+			}
+		}
+	}
+}
+
+// TestHeaderClaimBeyondFooterNotAllocated gives a valid stream a footer,
+// with a valid checksum, that declares half the events its frame headers
+// claim. Every decode width must reject it as corrupt without allocating
+// the headers' claimed event count.
+func TestHeaderClaimBeyondFooterNotAllocated(t *testing.T) {
+	const n = 1 << 18
+	// Identical records compress to almost nothing, so the stream is small
+	// next to the events it claims.
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = Event{Kind: KindOps, Ctx: 1, Call: 1, Ops: 1}
+	}
+	full := encodeV3(t, events, WriterOptions{})
+	info := peekFooter(bytes.NewReader(full))
+	if info == nil {
+		t.Fatal("no footer on a complete stream")
+	}
+	footLen := int(binary.LittleEndian.Uint32(full[len(full)-trailerLen:]))
+	index := append([]frameEntry{}, info.frames...)
+	var declared uint64
+	for i := range index {
+		index[i].events /= 2
+		declared += index[i].events
+	}
+	forged := appendFooter(append([]byte{}, full[:len(full)-trailerLen-footLen]...), index, declared, 0)
+
+	claimed := uint64(n) * uint64(unsafe.Sizeof(Event{}))
+	for _, workers := range []int{1, 4} {
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		_, err := ReadAllWorkers(bytes.NewReader(forged), workers)
+		runtime.ReadMemStats(&after)
+		if !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("workers=%d: got %v, want ErrCorrupt", workers, err)
+		}
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > claimed/4 {
+			t.Errorf("workers=%d: allocated %d bytes rejecting a stream whose headers claim %d bytes of events",
+				workers, alloc, claimed)
 		}
 	}
 }

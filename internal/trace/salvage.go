@@ -197,7 +197,8 @@ func salvageV3(rd *Reader, tr *Trace, rep *SalvageReport) {
 			raw, fr, err := inflateFrame(h, s.comp, s.raw, s.fr)
 			s.raw, s.fr = raw, fr
 			if err == nil {
-				events, err = decodePayload(s.raw, h.events, events[:0])
+				events = eventBuf(events, h.events)
+				_, err = decodePayload(s.raw, events)
 			}
 			if err != nil {
 				// The payload was fully read, so the scan is still aligned:

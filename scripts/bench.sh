@@ -3,8 +3,10 @@
 # benchmark name to the median ns/op (with the min and max of the samples)
 # and median bytes/op, so successive PRs can be diffed, plus a "_meta" entry
 # describing the host. Covers the self-overhead/ablation benches (root
-# package), the shadow-memory hot-path microbenches (internal/core), and the
-# event-file emit/decode microbenches (internal/trace).
+# package), the shadow-memory hot-path microbenches (internal/core), the
+# event-file emit/decode microbenches (internal/trace, including the decode
+# of a real workload's event file) and the critical-path chain construction
+# (internal/critpath).
 #
 # Usage:
 #   scripts/bench.sh [regexp]              run benches (default pattern below),
@@ -86,7 +88,7 @@ if [ "${1:-}" = "compare" ]; then
     exit $?
 fi
 
-PATTERN="${1:-Overhead|Ablation|MemRead|MemWrite|Shadow|TraceEmit|TraceDecode}"
+PATTERN="${1:-Overhead|Ablation|MemRead|MemWrite|Shadow|TraceEmit|TraceDecode|Critpath}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-1x}"
 OUT="${OUT:-BENCH_6.json}"
@@ -96,7 +98,7 @@ GOVERSION=$(go env GOVERSION)
 CPU=$(sed -n 's/^model name[[:space:]]*: *//p' /proc/cpuinfo 2>/dev/null | head -n 1 | sed 's/["\\]//g')
 CPU="${CPU:-$(uname -m)}"
 
-raw=$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/trace)
+raw=$(go test -run '^$' -bench "$PATTERN" -benchtime "$BENCHTIME" -count "$COUNT" . ./internal/core ./internal/trace ./internal/critpath)
 echo "$raw"
 
 # One entry per benchmark: the median, min and max ns/op over its COUNT
