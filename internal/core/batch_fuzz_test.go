@@ -3,15 +3,14 @@ package core
 import (
 	"testing"
 
-	"sigil/internal/trace"
 	"sigil/internal/vm"
 )
 
 // The fuzz harness compiles random byte strings into straight-line programs
-// over an arena spanning several shadow chunks, then runs each program twice
-// — batched chunk-run classifier vs retained scalar reference — and demands
-// identical output. The generated access mix covers everything the batched
-// path special-cases: overlapping writes, runs broken by alternating
+// over an arena spanning several shadow chunks, then runs each program once
+// with the batched chunk-run classifier and the spec side by side and
+// demands identical output. The generated access mix covers everything the
+// batched path special-cases: overlapping writes, runs broken by alternating
 // writers/readers/calls, ranges crossing chunk boundaries, wide syscall
 // in/out ranges, startup data, and all three profiling modes (plus an
 // eviction-heavy variant).
@@ -146,29 +145,15 @@ func runFuzzCase(t *testing.T, data []byte) {
 		t.Fatalf("generated program failed to build: %v", err)
 	}
 
-	run := func(scalar bool) (*Result, *trace.Buffer) {
-		opts := mode.opts
-		opts.refScalar = scalar
-		ev := &trace.Buffer{}
-		if mode.events {
-			opts.Events = ev
-		}
-		res, err := Run(prog, opts, fuzzInput())
-		if err != nil {
-			t.Fatalf("scalar=%v: %v", scalar, err)
-		}
-		return res, ev
-	}
-	batched, bEv := run(false)
-	scalar, sEv := run(true)
-	assertResultsIdentical(t, batched, scalar)
+	prod, spec, prodEv, specEv := specRun(t, prog, fuzzInput(), mode)
+	assertResultsIdentical(t, prod, spec)
 	if mode.events {
-		assertEventsIdentical(t, bEv.Events, sEv.Events)
+		assertEventsIdentical(t, prodEv, specEv)
 	}
 }
 
 // FuzzBatchedClassifier differentially fuzzes the batched classifier
-// against the scalar reference. The seed corpus alone covers every mode and
+// against the spec. The seed corpus alone covers every mode and
 // op kind, so `go test` exercises the differential even without -fuzz.
 func FuzzBatchedClassifier(f *testing.F) {
 	for m := 0; m < 5; m++ {
@@ -184,5 +169,15 @@ func FuzzBatchedClassifier(f *testing.F) {
 		edge = append(edge, byte(i), byte(i*3), 0xFF, byte(2*i+1))
 	}
 	f.Add(edge)
+	// Cutover seed (re-use mode): one-byte stores at every other granule
+	// leave a syscall input range in alternating state, so readSpan hands
+	// the rest of the span to readSpanTail; the range is written out twice
+	// in one call, so the tail's episode updates decide the re-use counts.
+	cut := []byte{1}
+	for i := 0; i < 16; i++ {
+		cut = append(cut, 0, 0, byte(32+2*i), 0)
+	}
+	cut = append(cut, 5, 0, 32, 0, 5, 0, 32, 0)
+	f.Add(cut)
 	f.Fuzz(runFuzzCase)
 }

@@ -11,10 +11,6 @@ type classifier struct {
 	lineMode   bool
 	trackReuse bool
 
-	// scalar selects the retained reference classification path (see
-	// Options.refScalar). The default is the batched chunk-run path.
-	scalar bool
-
 	comm  []CommStats  // indexed by context ID
 	reuse []ReuseStats // indexed by context ID; nil unless trackReuse
 
@@ -51,7 +47,6 @@ type classifier struct {
 func (c *classifier) init(opts Options) {
 	c.lineMode = opts.LineGranularity
 	c.trackReuse = opts.TrackReuse
-	c.scalar = opts.refScalar
 	c.edges = make(map[uint64]*Edge)
 	c.edgeKey = ^uint64(0)
 	if opts.LineGranularity {
@@ -79,9 +74,9 @@ const (
 //
 // The paper pays 20-99x over native for byte-level shadowing; the batched
 // path claws a large constant factor back by amortizing the two per-granule
-// costs of the scalar reference: the first-level chunk lookup (now one per
-// per-chunk span instead of one per granule) and the fully branchy
-// classification (now one per run of granules in identical shadow state,
+// costs of a granule-at-a-time classifier: the first-level chunk lookup
+// (one per per-chunk span instead of one per granule) and the fully branchy
+// classification (one per run of granules in identical shadow state,
 // counted n times). Workload accesses are overwhelmingly runs: a function
 // streaming over a buffer leaves every byte with the same (writer,
 // writerCall, reader, readerCall) tuple, so an 8-byte load classifies once,
@@ -89,17 +84,11 @@ const (
 
 // readRange classifies the granule range [g0,g1] read by frame f at time
 // now. It splits the range into per-chunk spans and classifies each with
-// the run fast path; the retained scalar reference walks granule by
-// granule instead so the two can be diffed.
+// the run fast path. The spec in spec_test.go classifies the same reads a
+// granule at a time; the differential and fuzz tests hold the two equal.
 //
 //sigil:hot
 func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
-	if c.scalar {
-		for g := g0; g <= g1; g++ {
-			c.readGranule(f, g, now, 1)
-		}
-		return
-	}
 	for g := g0; g <= g1; {
 		ch, idx := c.shadow.get(g)
 		end := g | chunkMask
@@ -116,9 +105,9 @@ func (c *classifier) readRange(f *segFrame, g0, g1, now uint64) {
 // classified once and counted len(run) times.
 //
 // State changes within the span start the next run, so the worst case
-// degrades to the scalar cost plus one comparison per granule; the cutover
-// stops paying even that: once cutoverShortRuns consecutive runs come in
-// under cutoverRunLen granules the span finishes granule-at-a-time.
+// degrades to granule-at-a-time cost plus one comparison per granule; the
+// cutover stops paying even that: once cutoverShortRuns consecutive runs
+// come in under cutoverRunLen granules the span finishes granule-at-a-time.
 //
 //sigil:hot
 func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now uint64) {
@@ -159,9 +148,8 @@ func (c *classifier) readSpan(f *segFrame, ch *shadowChunk, idx, n uint32, now u
 // length-k run as k single-granule runs produces the same aggregates (every
 // counter adds bytes, and k×1 == 1×k), the same comm accumulation (bytes
 // sum per (src,call) key in first-encounter order), and the same re-use
-// updates (reuseRun's branches depend only on per-granule state), so the
-// two paths stay byte-identical — the differential suite diffs them
-// directly.
+// updates (reuseRun's branches depend only on per-granule state), so a
+// span's result does not depend on where the cutover falls.
 //
 //sigil:hot
 func (c *classifier) readSpanTail(f *segFrame, ch *shadowChunk, idx, i, n uint32, now uint64, call32 uint32) {
@@ -178,9 +166,14 @@ func (c *classifier) readSpanTail(f *segFrame, ch *shadowChunk, idx, i, n uint32
 	}
 }
 
-// classifyRun applies the scalar readGranule classification once for a run
-// of `bytes` granules sharing the shadow state obj. It must mirror
-// readGranule exactly; the differential and fuzz tests enforce that.
+// classifyRun classifies one read of a run of `bytes` granules sharing the
+// shadow state obj, counting the run's bytes in one step.
+//
+// Unique vs non-unique follows the paper's mechanism exactly: "Sigil
+// checks if the reading FUNCTION is the last reader and if so counts the
+// read as non-unique" — the call number is not consulted for uniqueness (it
+// delimits re-use episodes in reuseRun). This is what makes a function's
+// repeated sweeps over the same data count once.
 //
 //sigil:hot
 func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
@@ -238,8 +231,8 @@ func (c *classifier) classifyRun(f *segFrame, obj shadowObj, bytes uint64) {
 	}
 }
 
-// reuseRun updates the re-use extension for one run. The branch structure
-// of the scalar path is uniform across a run (the run key includes reader
+// reuseRun updates the re-use extension for one run. The per-granule
+// branch structure is uniform across a run (the run key includes reader
 // and readerCall), so it hoists here; the per-granule counters and
 // timestamps still update individually.
 //
@@ -283,12 +276,6 @@ func (c *classifier) reuseRun(f *segFrame, ros []reuseObj, st shadowObj, call32 
 //
 //sigil:hot
 func (c *classifier) writeRange(enc uint32, call uint64, g0, g1, now uint64) {
-	if c.scalar {
-		for g := g0; g <= g1; g++ {
-			c.writeGranule(enc, call, g, now)
-		}
-		return
-	}
 	call32 := uint32(call)
 	lineReuse := c.lineMode
 	for g := g0; g <= g1; {
@@ -335,119 +322,6 @@ func (c *classifier) markStartup(g0, g1 uint64) {
 			objs[k].writerCall = 0
 		}
 		g = end + 1
-	}
-}
-
-// --- retained scalar reference path ---
-
-// readGranule classifies one granule read by frame f at time now, counting
-// `bytes` toward the communication aggregates.
-func (c *classifier) readGranule(f *segFrame, g, now, bytes uint64) {
-	ch, idx := c.shadow.get(g)
-	obj := &ch.objs[idx]
-	// Unique vs non-unique follows the paper's mechanism exactly: "Sigil
-	// checks if the reading FUNCTION is the last reader and if so counts
-	// the read as non-unique" — the call number is not consulted for
-	// uniqueness (it delimits re-use episodes below). This is what makes
-	// a function's repeated sweeps over the same data count once.
-	sameReader := obj.reader == f.enc
-	sameCall := sameReader && obj.readerCall == uint32(f.call)
-
-	src := obj.writer
-	if src == encInvalid {
-		src = encStartup
-	}
-	if src == f.enc {
-		// Local: produced and read by the same function context.
-		if f.ctx >= 0 {
-			s := c.commSlot(int(f.ctx))
-			if sameReader {
-				s.LocalNonUnique += bytes
-			} else {
-				s.LocalUnique += bytes
-			}
-		}
-	} else {
-		// Input to the reader, output of the producer.
-		if f.ctx >= 0 {
-			s := c.commSlot(int(f.ctx))
-			if sameReader {
-				s.InputNonUnique += bytes
-			} else {
-				s.InputUnique += bytes
-			}
-		} else if f.enc == encKernel {
-			c.kernelIn += bytes
-		}
-		switch src {
-		case encStartup:
-			if !sameReader {
-				c.startupOut += bytes
-			}
-		case encKernel:
-			if !sameReader {
-				c.kernelOut += bytes
-			}
-		default:
-			s := c.commSlot(int(src - encBias))
-			if sameReader {
-				s.OutputNonUnique += bytes
-			} else {
-				s.OutputUnique += bytes
-			}
-		}
-		e := c.edge(src, f.enc)
-		if sameReader {
-			e.NonUnique += bytes
-		} else {
-			e.Unique += bytes
-		}
-		if !sameReader && c.segComm && f.ctx >= 0 {
-			f.addComm(src, uint64(obj.writerCall), bytes)
-		}
-	}
-
-	if ch.reuse != nil {
-		ro := &ch.reuse[idx]
-		if c.lineMode {
-			// Line mode: global per-line access counting, no resets.
-			if ro.count == 0 && ro.first == 0 {
-				ro.first = now
-			}
-			ro.count++
-			ro.last = now
-		} else if sameCall {
-			// Same function call re-reading the byte: the episode
-			// continues (re-use lifetimes are per function call).
-			ro.count++
-			ro.last = now
-		} else {
-			if obj.reader != encInvalid {
-				c.flushEpisode(obj.reader, ro)
-			}
-			ro.count = 0
-			ro.first = now
-			ro.last = now
-		}
-	}
-
-	obj.reader = f.enc
-	obj.readerCall = uint32(f.call)
-}
-
-// writeGranule records the producer of one granule.
-func (c *classifier) writeGranule(enc uint32, call uint64, g, now uint64) {
-	ch, idx := c.shadow.get(g)
-	obj := &ch.objs[idx]
-	obj.writer = enc
-	obj.writerCall = uint32(call)
-	if c.lineMode && ch.reuse != nil {
-		ro := &ch.reuse[idx]
-		if ro.count == 0 && ro.first == 0 {
-			ro.first = now
-		}
-		ro.count++
-		ro.last = now
 	}
 }
 

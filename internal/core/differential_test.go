@@ -1,262 +1,179 @@
 package core
 
 import (
+	"bytes"
+	"reflect"
 	"testing"
 
-	"sigil/internal/callgrind"
 	"sigil/internal/dbi"
 	"sigil/internal/trace"
 	"sigil/internal/vm"
 	"sigil/internal/workloads"
 )
 
-// refTool is an independent reference implementation of the classification
-// semantics: a plain map from address to shadow state, none of the chunked
-// table, eviction, caching or encoding machinery. Running it beside the
-// real Tool (observing the same substrate, through refPair) and comparing
-// aggregates is a differential test of the entire classification engine.
-type refTool struct {
-	vm.BaseObserver
-	sub *callgrind.Tool
-
-	shadow map[uint64]*refObj
-	comm   map[int32]*CommStats
-	edges  map[[2]int32]*Edge
-
-	startupOut, kernelOut, kernelIn uint64
+// diffMode is one profiling configuration the spec differential covers:
+// the three paper modes plus an eviction-heavy variant that forces the FIFO
+// limit, cache invalidation and chunk recycling into play.
+type diffMode struct {
+	name   string
+	opts   Options
+	events bool
 }
 
-type refObj struct {
-	writer     int32 // context id; CtxStartup / CtxKernel for synthetic
-	hasWriter  bool
-	reader     int32
-	hasReader  bool
-	readerCall uint64
-}
-
-func newRefTool(sub *callgrind.Tool) *refTool {
-	return &refTool{
-		sub:    sub,
-		shadow: map[uint64]*refObj{},
-		comm:   map[int32]*CommStats{},
-		edges:  map[[2]int32]*Edge{},
+func diffModes() []diffMode {
+	return []diffMode{
+		{"baseline-events", Options{}, true},
+		{"reuse", Options{TrackReuse: true}, false},
+		{"line", Options{LineGranularity: true}, false},
+		{"reuse-evicting", Options{TrackReuse: true, MaxShadowChunks: 4}, false},
 	}
 }
 
-// refPair drives the real tool, which drives the substrate, and then the
-// reference, so the reference reads contexts the substrate has already
-// updated for the same primitive.
-type refPair struct {
-	real *Tool
-	ref  *refTool
-}
-
-func (p refPair) ProgramStart(prog *vm.Program, m *vm.Machine) {
-	p.real.ProgramStart(prog, m)
-	p.ref.ProgramStart(prog, m)
-}
-func (p refPair) FnEnter(fn int)             { p.real.FnEnter(fn); p.ref.FnEnter(fn) }
-func (p refPair) FnLeave(fn int)             { p.real.FnLeave(fn); p.ref.FnLeave(fn) }
-func (p refPair) Branch(site uint64, t bool) { p.real.Branch(site, t); p.ref.Branch(site, t) }
-func (p refPair) MemRead(a uint64, s uint8)  { p.real.MemRead(a, s); p.ref.MemRead(a, s) }
-func (p refPair) MemWrite(a uint64, s uint8) {
-	p.real.MemWrite(a, s)
-	p.ref.MemWrite(a, s)
-}
-func (p refPair) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
-	p.real.Syscall(sys, inAddr, inLen, outAddr, outLen)
-	p.ref.Syscall(sys, inAddr, inLen, outAddr, outLen)
-}
-func (p refPair) ProgramEnd() { p.real.ProgramEnd(); p.ref.ProgramEnd() }
-
-func (r *refTool) obj(addr uint64) *refObj {
-	o := r.shadow[addr]
-	if o == nil {
-		o = &refObj{}
-		r.shadow[addr] = o
+// specRun profiles prog once with the production Tool and the spec side by
+// side over one substrate, returning both results and, when the mode asks
+// for events, both event streams.
+func specRun(t *testing.T, prog *vm.Program, input []byte, mode diffMode) (prod, spec *Result, prodEv, specEv []trace.Event) {
+	t.Helper()
+	opts := mode.opts
+	var buf *trace.Buffer
+	if mode.events {
+		buf = &trace.Buffer{}
+		opts.Events = buf
 	}
-	return o
-}
-
-func (r *refTool) commOf(ctx int32) *CommStats {
-	c := r.comm[ctx]
-	if c == nil {
-		c = &CommStats{}
-		r.comm[ctx] = c
+	sub := newSubstrate()
+	tool := mustNew(sub, opts)
+	st := newSpecTool(sub, opts)
+	if _, err := dbi.Run(prog, refPair{tool, st}, input); err != nil {
+		t.Fatalf("%s: %v", mode.name, err)
 	}
-	return c
-}
-
-func (r *refTool) edge(src, dst int32) *Edge {
-	k := [2]int32{src, dst}
-	e := r.edges[k]
-	if e == nil {
-		e = &Edge{Src: src, Dst: dst}
-		r.edges[k] = e
+	prod, err := tool.Result()
+	if err != nil {
+		t.Fatal(err)
 	}
-	return e
+	if buf != nil {
+		prodEv = buf.Events
+	}
+	return prod, st.result(), prodEv, st.emitted
 }
 
-func (r *refTool) ProgramStart(p *vm.Program, m *vm.Machine) {
-	for _, s := range p.Segments {
-		for i := range s.Data {
-			o := r.obj(s.Addr + uint64(i))
-			o.writer, o.hasWriter = trace.CtxStartup, true
+// assertResultsIdentical demands the complete classification output of
+// production and spec match: per-context aggregates, edges, re-use
+// histograms, line report, shadow accounting, the external
+// producer/consumer totals, and the serialized profile bytes.
+func assertResultsIdentical(t *testing.T, prod, spec *Result) {
+	t.Helper()
+	if !reflect.DeepEqual(prod.Comm, spec.Comm) {
+		for id := range prod.Comm {
+			if id < len(spec.Comm) && prod.Comm[id] != spec.Comm[id] {
+				t.Errorf("ctx %d (%s): prod %+v, spec %+v",
+					id, prod.CtxName(int32(id)), prod.Comm[id], spec.Comm[id])
+			}
+		}
+		if len(prod.Comm) != len(spec.Comm) {
+			t.Errorf("comm length: prod %d, spec %d", len(prod.Comm), len(spec.Comm))
+		}
+	}
+	if !reflect.DeepEqual(prod.Edges, spec.Edges) {
+		t.Errorf("edges differ:\nprod %+v\nspec %+v", prod.Edges, spec.Edges)
+	}
+	if !reflect.DeepEqual(prod.Reuse, spec.Reuse) {
+		for id := range prod.Reuse {
+			if id < len(spec.Reuse) && !reflect.DeepEqual(prod.Reuse[id], spec.Reuse[id]) {
+				t.Errorf("reuse ctx %d (%s): prod %+v, spec %+v",
+					id, prod.CtxName(int32(id)), prod.Reuse[id], spec.Reuse[id])
+			}
+		}
+		if len(prod.Reuse) != len(spec.Reuse) {
+			t.Errorf("reuse length: prod %d, spec %d", len(prod.Reuse), len(spec.Reuse))
+		}
+	}
+	if !reflect.DeepEqual(prod.KernelReuse, spec.KernelReuse) {
+		t.Errorf("kernel reuse: prod %+v, spec %+v", prod.KernelReuse, spec.KernelReuse)
+	}
+	if !reflect.DeepEqual(prod.Lines, spec.Lines) {
+		t.Errorf("line report: prod %+v, spec %+v", prod.Lines, spec.Lines)
+	}
+	if prod.Shadow != spec.Shadow {
+		t.Errorf("shadow stats: prod %+v, spec %+v", prod.Shadow, spec.Shadow)
+	}
+	if prod.StartupBytes != spec.StartupBytes ||
+		prod.KernelOutBytes != spec.KernelOutBytes ||
+		prod.KernelInBytes != spec.KernelInBytes {
+		t.Errorf("externals: prod %d/%d/%d, spec %d/%d/%d",
+			prod.StartupBytes, prod.KernelOutBytes, prod.KernelInBytes,
+			spec.StartupBytes, spec.KernelOutBytes, spec.KernelInBytes)
+	}
+
+	// Byte-identical profiles, literally: both results must serialize to the
+	// same profile file bytes.
+	var pb, sb bytes.Buffer
+	if err := WriteProfile(&pb, prod); err != nil {
+		t.Fatalf("serialize prod: %v", err)
+	}
+	if err := WriteProfile(&sb, spec); err != nil {
+		t.Fatalf("serialize spec: %v", err)
+	}
+	if !bytes.Equal(pb.Bytes(), sb.Bytes()) {
+		t.Error("serialized profiles are not byte-identical")
+	}
+}
+
+// assertEventsIdentical demands production and spec emit the same event
+// stream, event for event and field for field.
+func assertEventsIdentical(t *testing.T, prod, spec []trace.Event) {
+	t.Helper()
+	if len(prod) != len(spec) {
+		t.Errorf("event count: prod %d, spec %d", len(prod), len(spec))
+	}
+	n := min(len(prod), len(spec))
+	for i := 0; i < n; i++ {
+		if prod[i] != spec[i] {
+			t.Errorf("event %d differs: prod %+v, spec %+v", i, prod[i], spec[i])
+			return // the first divergence is the useful one
 		}
 	}
 }
 
-func (r *refTool) readByte(addr uint64, consumer int32, call uint64) {
-	o := r.obj(addr)
-	producer := int32(trace.CtxStartup)
-	if o.hasWriter {
-		producer = o.writer
+// diffWorkload runs one registry workload through the spec differential.
+func diffWorkload(t *testing.T, name string, mode diffMode) {
+	prog, input, err := workloads.Build(name, workloads.SimSmall)
+	if err != nil {
+		t.Fatal(err)
 	}
-	unique := !(o.hasReader && o.reader == consumer)
-	switch {
-	case producer == consumer:
-		c := r.commOf(consumer)
-		if unique {
-			c.LocalUnique++
-		} else {
-			c.LocalNonUnique++
-		}
-	default:
-		if consumer >= 0 {
-			c := r.commOf(consumer)
-			if unique {
-				c.InputUnique++
-			} else {
-				c.InputNonUnique++
-			}
-		} else {
-			r.kernelIn++
-		}
-		switch {
-		case producer >= 0:
-			c := r.commOf(producer)
-			if unique {
-				c.OutputUnique++
-			} else {
-				c.OutputNonUnique++
-			}
-		case producer == trace.CtxStartup:
-			if unique {
-				r.startupOut++
-			}
-		default:
-			if unique {
-				r.kernelOut++
-			}
-		}
-		e := r.edge(producer, consumer)
-		if unique {
-			e.Unique++
-		} else {
-			e.NonUnique++
-		}
-	}
-	o.reader, o.hasReader, o.readerCall = consumer, true, call
-}
-
-func (r *refTool) writeByte(addr uint64, producer int32) {
-	o := r.obj(addr)
-	o.writer, o.hasWriter = producer, true
-}
-
-func (r *refTool) current() (int32, uint64) {
-	n := r.sub.Current()
-	if n == nil {
-		return trace.CtxStartup, 0
-	}
-	return int32(n.ID), r.sub.CurrentCall()
-}
-
-func (r *refTool) MemRead(addr uint64, size uint8) {
-	ctx, call := r.current()
-	for i := uint64(0); i < uint64(size); i++ {
-		r.readByte(addr+i, ctx, call)
+	prod, spec, prodEv, specEv := specRun(t, prog, input, mode)
+	assertResultsIdentical(t, prod, spec)
+	if mode.events {
+		assertEventsIdentical(t, prodEv, specEv)
 	}
 }
 
-func (r *refTool) MemWrite(addr uint64, size uint8) {
-	ctx, _ := r.current()
-	for i := uint64(0); i < uint64(size); i++ {
-		r.writeByte(addr+i, ctx)
-	}
-}
-
-func (r *refTool) Syscall(sys vm.Sys, inAddr, inLen, outAddr, outLen uint64) {
-	ctx, call := r.current()
-	for i := uint64(0); i < inLen; i++ {
-		r.readByte(inAddr+i, ctx, call)
-	}
-	if inLen > 0 && ctx >= 0 {
-		r.commOf(ctx).OutputUnique += inLen
-		r.edge(ctx, trace.CtxKernel).Unique += inLen
-		r.kernelIn += inLen
-	}
-	for i := uint64(0); i < outLen; i++ {
-		r.writeByte(outAddr+i, trace.CtxKernel)
-	}
-}
-
-// TestDifferentialAgainstReference runs the real classification engine and
-// the reference side by side over real workloads and demands identical
-// aggregates, edges and external totals.
-func TestDifferentialAgainstReference(t *testing.T) {
-	for _, name := range []string{"canneal", "vips", "dedup", "streamcluster", "bodytrack"} {
-		t.Run(name, func(t *testing.T) {
-			prog, input, err := workloads.Build(name, workloads.SimSmall)
-			if err != nil {
-				t.Fatal(err)
+// TestBatchedMatchesScalarOnWorkloads is the classifier's correctness pin:
+// it runs every workload in the registry through the production batched
+// classifier and the spec together, in every mode, and demands
+// byte-identical profiles, edges, re-use histograms and event streams. (The
+// name dates from when the oracle was a granule-at-a-time copy of the
+// classifier; it is kept so the test's history stays continuous.)
+func TestBatchedMatchesScalarOnWorkloads(t *testing.T) {
+	names := workloads.Names()
+	for _, mode := range diffModes() {
+		t.Run(mode.name, func(t *testing.T) {
+			ws := names
+			if testing.Short() && mode.name != "baseline-events" {
+				ws = names[:min(3, len(names))]
 			}
-			sub := newSubstrate()
-			real := mustNew(sub, Options{})
-			ref := newRefTool(sub)
-			if _, err := dbi.Run(prog, refPair{real, ref}, input); err != nil {
-				t.Fatal(err)
-			}
-			res, err := real.Result()
-			if err != nil {
-				t.Fatal(err)
-			}
-
-			for id := range res.Comm {
-				want := CommStats{}
-				if c := ref.comm[int32(id)]; c != nil {
-					want = *c
-				}
-				if res.Comm[id] != want {
-					t.Errorf("ctx %d (%s): real %+v, ref %+v",
-						id, res.CtxName(int32(id)), res.Comm[id], want)
-				}
-			}
-			for ctx := range ref.comm {
-				if int(ctx) >= len(res.Comm) {
-					t.Errorf("ref has comm for unknown ctx %d", ctx)
-				}
-			}
-			gotEdges := map[[2]int32]Edge{}
-			for _, e := range res.Edges {
-				gotEdges[[2]int32{e.Src, e.Dst}] = e
-			}
-			if len(gotEdges) != len(ref.edges) {
-				t.Errorf("edge count: real %d, ref %d", len(gotEdges), len(ref.edges))
-			}
-			for k, e := range ref.edges {
-				if g, ok := gotEdges[k]; !ok || g.Unique != e.Unique || g.NonUnique != e.NonUnique {
-					t.Errorf("edge %s→%s: real %+v, ref %+v",
-						res.CtxName(k[0]), res.CtxName(k[1]), gotEdges[k], *e)
-				}
-			}
-			if res.StartupBytes != ref.startupOut ||
-				res.KernelOutBytes != ref.kernelOut ||
-				res.KernelInBytes != ref.kernelIn {
-				t.Errorf("externals: real %d/%d/%d, ref %d/%d/%d",
-					res.StartupBytes, res.KernelOutBytes, res.KernelInBytes,
-					ref.startupOut, ref.kernelOut, ref.kernelIn)
+			for _, name := range ws {
+				t.Run(name, func(t *testing.T) { diffWorkload(t, name, mode) })
 			}
 		})
+	}
+}
+
+// TestDifferentialAgainstReference runs the spec differential in the
+// default configuration, with no event sink: the matrix above profiles
+// baseline mode only with events on, and without a sink the Tool skips
+// segment accounting entirely.
+func TestDifferentialAgainstReference(t *testing.T) {
+	for _, name := range []string{"canneal", "vips", "dedup", "streamcluster", "bodytrack"} {
+		t.Run(name, func(t *testing.T) { diffWorkload(t, name, diffMode{name: "baseline"}) })
 	}
 }

@@ -5,39 +5,33 @@ import (
 	"testing"
 )
 
-// Microbenchmarks for the classification hot path, each run through the
-// batched chunk-run classifier and the retained scalar reference so
-// BENCH_N.json pins the amortization factor. The wide/streaming benches are
-// where batching must win big (one lookup + one classification per span vs
-// per granule); Mixed is the adversarial case where every granule's shadow
-// state differs and the run detector degrades to scalar plus a comparison.
+// Microbenchmarks for the classification hot path. The wide/streaming
+// benches are where batching must win big (one lookup + one classification
+// per span vs per granule); Mixed is the adversarial case where every
+// granule's shadow state differs and the run detector degrades to
+// granule-at-a-time plus a comparison.
 
 const benchBase = uint64(1) << 32 // arbitrary arena base, chunk-aligned
 
 // newBenchTool assembles a Tool with one open frame, bypassing the machine:
 // the benchmarks call the observer entry points directly so they measure
 // classification, not instruction dispatch.
-func newBenchTool(opts Options, scalar bool) *Tool {
+func newBenchTool(opts Options) *Tool {
 	tool := mustNew(newSubstrate(), opts)
-	tool.scalar = scalar
 	tool.growCtx(0)
 	tool.growCtx(1)
 	tool.stack = append(tool.stack, segFrame{ctx: 0, enc: encodeCtx(0), call: 1})
 	return tool
 }
 
-// benchPaths runs fn once per classification path.
+// benchPaths runs fn over a fresh bench tool, as the "batched"
+// sub-benchmark so BENCH_N.json names stay comparable across revisions.
 func benchPaths(b *testing.B, opts Options, fn func(b *testing.B, tool *Tool)) {
-	for _, v := range []struct {
-		name   string
-		scalar bool
-	}{{"scalar", true}, {"batched", false}} {
-		b.Run(v.name, func(b *testing.B) {
-			tool := newBenchTool(opts, v.scalar)
-			b.ReportAllocs()
-			fn(b, tool)
-		})
-	}
+	b.Run("batched", func(b *testing.B) {
+		tool := newBenchTool(opts)
+		b.ReportAllocs()
+		fn(b, tool)
+	})
 }
 
 // BenchmarkMemReadStream sweeps a 64KiB buffer in 8-byte loads through the
@@ -103,14 +97,14 @@ func BenchmarkMemWriteWide(b *testing.B) {
 
 // BenchmarkMemReadMixed is the worst case for run detection: alternating
 // writer call numbers break every run at length one, so the batched path
-// pays the scalar cost plus one struct comparison per granule. The target
-// here is "no regression", not a win.
+// pays the granule-at-a-time cost plus one struct comparison per granule.
+// The target here is "no regression", not a win.
 func BenchmarkMemReadMixed(b *testing.B) {
 	const span = 4096
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
 		f := &tool.stack[0]
 		for g := uint64(0); g < span; g++ {
-			tool.writeGranule(f.enc, f.call+1+(g&1), benchBase+g, 0)
+			tool.writeRange(f.enc, f.call+1+(g&1), benchBase+g, benchBase+g, 0)
 		}
 		b.SetBytes(span)
 		b.ResetTimer()
@@ -129,7 +123,7 @@ func BenchmarkMemReadMixedPairs(b *testing.B) {
 	benchPaths(b, Options{}, func(b *testing.B, tool *Tool) {
 		f := &tool.stack[0]
 		for g := uint64(0); g < span; g++ {
-			tool.writeGranule(f.enc, f.call+1+((g>>1)&1), benchBase+g, 0)
+			tool.writeRange(f.enc, f.call+1+((g>>1)&1), benchBase+g, benchBase+g, 0)
 		}
 		b.SetBytes(span)
 		b.ResetTimer()

@@ -197,20 +197,6 @@ func (t *shadowTable) get(g uint64) (*shadowChunk, uint32) {
 	return ch, uint32(g & chunkMask)
 }
 
-// peek returns the chunk for granule g without materializing it.
-func (t *shadowTable) peek(g uint64) (*shadowChunk, uint32) {
-	key := g >> chunkBits
-	slot := &t.cache[key&shadowCacheMask]
-	if slot.ch != nil && slot.key == key {
-		return slot.ch, uint32(g & chunkMask)
-	}
-	ch := t.chunks[key]
-	if ch != nil {
-		slot.key, slot.ch = key, ch
-	}
-	return ch, uint32(g & chunkMask)
-}
-
 // newChunk materializes a chunk buffer, recycling the spare when there is
 // one.
 func (t *shadowTable) newChunk() *shadowChunk {

@@ -75,13 +75,6 @@ type Options struct {
 	// Metrics block is attached for the run so span deltas still reconcile
 	// with Result.Telemetry.
 	Trace *tracing.Buf
-
-	// refScalar forces the retained granule-at-a-time reference
-	// classification path instead of the batched chunk-run path. The two
-	// are required to produce byte-identical results; this knob exists so
-	// the differential and fuzz harnesses can prove it, and is therefore
-	// unexported: it is not a supported production mode.
-	refScalar bool
 }
 
 func (o Options) withDefaults() Options {
